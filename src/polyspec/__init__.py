@@ -1,6 +1,9 @@
 """Numerical verification toolkit for universal Dirichlet eigenvalue
 inequalities of polyharmonic operators on desk-scale grids."""
 
+# the only version literal; defined before the submodules, which read it
+__version__ = "0.1.0"
+
 from .algebra import (
     CheckResult,
     ChiLambdaCouple,
@@ -27,7 +30,7 @@ from .bounds import (
     yang_type_general,
     yang_type_simplified,
 )
-from .eigensolve import SolverError, Spectrum, rayleigh_quotient, smallest_eigenpairs
+from .eigensolve import SolverError, Spectrum, smallest_eigenpairs
 from .grids import DomainSpec, GridFunction
 from .harness import RunConfig, run
 from .operators import (
@@ -37,7 +40,6 @@ from .operators import (
     central_difference,
     commutator_residual,
     coordinate_multiply,
-    operator_power,
 )
 from .oracles import (
     analytic_spectrum,
@@ -47,5 +49,3 @@ from .oracles import (
     interval_eigenvalues,
 )
 from .report import VerificationReport, load_report
-
-__version__ = "0.1.0"

@@ -111,7 +111,11 @@ def _cmd_bounds(args) -> int:
     if len(lam) < 2 or any(v <= 0 for v in lam):
         print("need at least two positive eigenvalues", file=sys.stderr)
         return EXIT_USAGE
-    rows = evaluate_bounds_on_list(lam, l=args.l, n=args.n, k=args.k)
+    try:
+        rows = evaluate_bounds_on_list(lam, l=args.l, n=args.n, k=args.k)
+    except ValueError as exc:  # bad l, n or k, or a decreasing list
+        print(f"bad eigenvalue list or parameters: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     failures = 0
     for row in rows:
         if not row.applicable:

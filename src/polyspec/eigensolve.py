@@ -133,12 +133,3 @@ def smallest_eigenpairs(op: DiscreteOperator, k: int, tol: float = 1e-8,
     return Spectrum(eigenvalues=w, residuals=residuals, k=k,
                     vectors=vectors, spec=op.spec,
                     solver_tol=float(np.max(effective)))
-
-
-def rayleigh_quotient(op: DiscreteOperator, u: GridFunction) -> float:
-    """<Op u, u> / <u, u>; the weight cancels, computed on raw values."""
-    v = u.values
-    denom = float(np.dot(v, v))
-    if denom == 0.0:
-        raise ValueError("Rayleigh quotient of the zero vector is undefined")
-    return float(np.dot(op.apply(v), v) / denom)

@@ -8,7 +8,7 @@ Runs are deterministic for a fixed config and seed.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import List, Optional, Sequence, Union
 
 import numpy as np
@@ -22,24 +22,6 @@ from .grids import DomainSpec, GridError
 from .operators import build_polyharmonic
 from .oracles import analytic_spectrum
 from .report import VerificationReport
-
-KNOWN_CHECKS = (
-    "commutator",
-    "trace_identity",
-    "interpolation",
-    "gradient_sum",
-    "yang_type_general",
-    "yang_type_cases",
-    "quadratic_gap_bound",
-    "spectral_gap_bound",
-    "yang_type_simplified",
-    "yang_first_inequality",
-    "ppw_gap_bound",
-    "yang_second_inequality",
-    "comparison",
-    "recursive_chain",
-    "oracle",
-)
 
 DEFAULT_TOLERANCES = {
     "solver": 1e-8,        # eigenpair residual target
@@ -59,6 +41,142 @@ DEFAULT_CASES = ((1, 1.5, None), (2, None, None), (3, None, 0.5), (4, None, 1.0)
 
 class ConfigError(ValueError):
     """Invalid run configuration."""
+
+
+class _SpectrumRows:
+    """What the bound checks of one spectrum share.
+
+    General-form rows are kept by exponent pair, so the sweep and every
+    cross-check against the general form evaluate each pair at most once.
+    """
+
+    def __init__(self, lam, base: BoundParams, pairs, tolerances: dict):
+        self.lam = np.asarray(lam, dtype=float)
+        self.base = base
+        self.pairs = pairs
+        self.tol = tolerances["bounds"]
+        self.agreement = tolerances["agreement"]
+        self._general = {}
+
+    def row(self, func, params=None, *args, name=None) -> BoundCheck:
+        """func's row at params (default: the base parameters) with the run's slack."""
+        try:
+            check = func(self.lam, self.base if params is None else params, *args)
+        except (ZeroGapError, InadmissibleExponents, bnd.ParameterError) as exc:
+            return BoundCheck.inapplicable(name or func.__name__, str(exc))
+        return replace(check, rel_tol=self.tol)
+
+    def general(self, alpha: float, beta: float) -> BoundCheck:
+        if (alpha, beta) not in self._general:
+            self._general[alpha, beta] = self.row(
+                bnd.yang_type_general, self.base.with_exponents(alpha, beta))
+        return self._general[alpha, beta]
+
+
+def _note(row: BoundCheck, text: str) -> None:
+    row.notes = f"{row.notes}; {text}" if row.notes else text
+
+
+def _case_rows(rows: _SpectrumRows) -> List[BoundCheck]:
+    out = []
+    base = rows.base
+    # with a zero gap the displayed case forms keep gap-free brackets that
+    # the zero-contribution policy legitimately shrinks, so they are only
+    # comparable with the general form on strict-gap spectra
+    zero_gap = bnd.has_zero_gap(rows.lam, base.k)
+    for case, alpha, beta in DEFAULT_CASES:
+        params = base.with_exponents(base.alpha if alpha is None else alpha,
+                                     base.beta if beta is None else beta)
+        row = rows.row(bnd.yang_type_case, params, case, name=f"yang_type_case({case})")
+        out.append(row)
+        if not row.applicable:
+            continue
+        if zero_gap:
+            _note(row, "agreement with general form skipped (zero gap)")
+            continue
+        general = rows.general(*{
+            1: (params.alpha, 2 * params.alpha - 1),
+            2: (1.0, 1.0),
+            3: (0.5, params.beta),
+            4: (-1.0, params.beta),
+        }[case])
+        if not general.applicable:
+            _note(row, "general form inapplicable here (zero gap); displayed form only")
+            continue
+        mismatch = abs(row.rhs - general.rhs) / max(abs(row.rhs), abs(general.rhs), 1e-300)
+        lhs_mismatch = abs(row.lhs - general.lhs) / max(abs(row.lhs), 1e-300)
+        if max(mismatch, lhs_mismatch) > rows.agreement:
+            row.holds = False
+            _note(row, f"disagrees with general form by {mismatch:.2e}")
+        else:
+            _note(row, "agrees with general form")
+    return out
+
+
+def _quadratic_rows(rows: _SpectrumRows) -> List[BoundCheck]:
+    row = rows.row(bnd.quadratic_gap_bound)
+    general = rows.general(2.0, 2.0)
+    if row.applicable and general.applicable \
+            and abs(row.rhs - general.rhs) / max(abs(row.rhs), 1e-300) > rows.agreement:
+        row.holds = False
+        row.notes = "disagrees with general form at (2, 2)"
+    return [row]
+
+
+def _simplified_rows(rows: _SpectrumRows) -> List[BoundCheck]:
+    out = []
+    for alpha, beta in rows.pairs:
+        row = rows.row(bnd.yang_type_simplified, rows.base.with_exponents(alpha, beta))
+        general = rows.general(alpha, beta)
+        if row.applicable and general.applicable \
+                and row.rhs < general.rhs * (1 - 1e-12):
+            row.holds = False
+            row.notes = "fails to dominate the general right side"
+        out.append(row)
+    return out
+
+
+def _chain_rows(rows: _SpectrumRows) -> List[BoundCheck]:
+    k = rows.base.k or rows.lam.size - 1  # BoundParams rejects k < 1
+    chain = bnd.recursive_upper_chain(float(rows.lam[0]), rows.base, depth=k)
+    ratios = rows.lam[1:k + 1] / chain[:k]
+    return [BoundCheck(
+        name=f"recursive_chain(depth={k})",
+        lhs=float(np.max(ratios)), rhs=1.0, rel_tol=rows.tol,
+        notes="max ratio of computed eigenvalue to chained upper bound")]
+
+
+def _single(name: str):
+    # the evaluator is looked up at call time, so wrappers installed on the
+    # bounds module see every call
+    return lambda rows: [rows.row(getattr(bnd, name))]
+
+
+# every inequality check in report order: (check name, row producer)
+BOUND_CHECKS = (
+    ("yang_type_general", lambda rows: [rows.general(a, b) for a, b in rows.pairs]),
+    ("yang_type_cases", _case_rows),
+    ("quadratic_gap_bound", _quadratic_rows),
+    ("spectral_gap_bound", _single("spectral_gap_bound")),
+    ("yang_type_simplified", _simplified_rows),
+    ("yang_first_inequality", _single("yang_first_inequality")),
+    ("ppw_gap_bound", _single("ppw_gap_bound")),
+    ("yang_second_inequality", _single("yang_second_inequality")),
+    ("comparison", lambda rows: [replace(r, rel_tol=rows.tol)
+                                 for r in bnd.comparison_table(rows.lam, rows.base)]),
+    ("recursive_chain", _chain_rows),
+)
+
+IDENTITY_CHECKS = ("commutator", "trace_identity", "interpolation", "gradient_sum")
+KNOWN_CHECKS = IDENTITY_CHECKS + tuple(name for name, _ in BOUND_CHECKS) + ("oracle",)
+
+
+def _bound_rows(lam, base: BoundParams, pairs, tolerances: dict,
+                checks) -> List[BoundCheck]:
+    """Rows of the registered checks named in checks, in registry order."""
+    rows = _SpectrumRows(lam, base, pairs, tolerances)
+    return [row for name, produce in BOUND_CHECKS if name in checks
+            for row in produce(rows)]
 
 
 @dataclass
@@ -143,69 +261,6 @@ class RunConfig:
         return cls.from_dict(data)
 
 
-def _bound_row(func, lam, params, tol) -> BoundCheck:
-    try:
-        check = func(lam, params)
-        check.rel_tol = tol
-        check.__post_init__()
-        return check
-    except (ZeroGapError, InadmissibleExponents) as exc:
-        return BoundCheck.inapplicable(getattr(func, "__name__", "bound"), str(exc))
-
-
-def _case_rows(lam, base: BoundParams, tol_bounds: float,
-               tol_agreement: float) -> List[BoundCheck]:
-    rows = []
-    for case, alpha, beta in DEFAULT_CASES:
-        params = base
-        if alpha is not None or beta is not None:
-            params = BoundParams(l=base.l, n=base.n,
-                                 alpha=alpha if alpha is not None else base.alpha,
-                                 beta=beta if beta is not None else base.beta,
-                                 k=base.k)
-        try:
-            row = bnd.yang_type_case(lam, params, case)
-            row.rel_tol = tol_bounds
-            row.__post_init__()
-        except (ZeroGapError, bnd.ParameterError) as exc:
-            rows.append(BoundCheck.inapplicable(f"yang_type_case({case})", str(exc)))
-            continue
-        # cross-check against the general form at the matching exponents;
-        # with a zero gap the displayed case forms keep gap-free brackets
-        # that the zero-contribution policy legitimately shrinks, so the
-        # two are only comparable on strict-gap spectra
-        if bnd.has_zero_gap(lam, base.k):
-            row.notes = (row.notes + "; " if row.notes else "") + \
-                "agreement with general form skipped (zero gap)"
-            rows.append(row)
-            continue
-        general_pair = {
-            1: (params.alpha, 2 * params.alpha - 1),
-            2: (1.0, 1.0),
-            3: (0.5, params.beta),
-            4: (-1.0, params.beta),
-        }[case]
-        try:
-            general = bnd.yang_type_general(
-                lam, BoundParams(l=base.l, n=base.n, alpha=general_pair[0],
-                                 beta=general_pair[1], k=base.k))
-            scale = max(abs(row.rhs), abs(general.rhs), 1e-300)
-            mismatch = abs(row.rhs - general.rhs) / scale
-            lhs_mismatch = abs(row.lhs - general.lhs) / max(abs(row.lhs), 1e-300)
-            if max(mismatch, lhs_mismatch) > tol_agreement:
-                row.holds = False
-                row.notes = (row.notes + "; " if row.notes else "") + \
-                    f"disagrees with general form by {mismatch:.2e}"
-            else:
-                row.notes = (row.notes + "; " if row.notes else "") + \
-                    "agrees with general form"
-        except (ZeroGapError, InadmissibleExponents):
-            row.notes = (row.notes + "; " if row.notes else "") + \
-                "general form inapplicable here (zero gap); displayed form only"
-        rows.append(row)
-    return rows
-
-
 def run(config: RunConfig, out_override: Optional[str] = None) -> VerificationReport:
     """Full verification pipeline; writes report files when an output prefix is set."""
     tol = config.tolerances
@@ -239,7 +294,6 @@ def run(config: RunConfig, out_override: Optional[str] = None) -> VerificationRe
 
     enabled = set(config.checks)
     identity_rows: List[ident.IdentityRow] = []
-    bound_rows: List[BoundCheck] = []
     oracle_rows: List[ident.IdentityRow] = []
 
     # exactness checks come first
@@ -257,56 +311,8 @@ def run(config: RunConfig, out_override: Optional[str] = None) -> VerificationRe
             tol_bound=tol["gradient_bound"])
 
     lam = spectrum.eigenvalues
-    base = BoundParams(l=spec.l, n=spec.n, k=config.k)
-    tol_bounds = tol["bounds"]
-
-    if "yang_type_general" in enabled:
-        for alpha, beta in config.sweep_pairs():
-            bound_rows.append(_bound_row(
-                bnd.yang_type_general, lam, base.with_exponents(alpha, beta),
-                tol_bounds))
-    if "yang_type_cases" in enabled:
-        bound_rows += _case_rows(lam, base, tol_bounds, tol["agreement"])
-    if "quadratic_gap_bound" in enabled:
-        row = _bound_row(bnd.quadratic_gap_bound, lam, base, tol_bounds)
-        general = _bound_row(bnd.yang_type_general, lam,
-                             base.with_exponents(2.0, 2.0), tol_bounds)
-        if row.applicable and general.applicable:
-            scale = max(abs(row.rhs), 1e-300)
-            if abs(row.rhs - general.rhs) / scale > tol["agreement"]:
-                row.holds = False
-                row.notes = "disagrees with general form at (2, 2)"
-        bound_rows.append(row)
-    if "spectral_gap_bound" in enabled:
-        bound_rows.append(_bound_row(bnd.spectral_gap_bound, lam, base, tol_bounds))
-    if "yang_type_simplified" in enabled:
-        for alpha, beta in config.sweep_pairs():
-            params = base.with_exponents(alpha, beta)
-            row = _bound_row(bnd.yang_type_simplified, lam, params, tol_bounds)
-            general = _bound_row(bnd.yang_type_general, lam, params, tol_bounds)
-            if row.applicable and general.applicable \
-                    and row.rhs < general.rhs * (1 - 1e-12):
-                row.holds = False
-                row.notes = "fails to dominate the general right side"
-            bound_rows.append(row)
-    if "yang_first_inequality" in enabled:
-        bound_rows.append(_bound_row(bnd.yang_first_inequality, lam, base, tol_bounds))
-    if "ppw_gap_bound" in enabled:
-        bound_rows.append(_bound_row(bnd.ppw_gap_bound, lam, base, tol_bounds))
-    if "yang_second_inequality" in enabled:
-        bound_rows.append(_bound_row(bnd.yang_second_inequality, lam, base, tol_bounds))
-    if "comparison" in enabled:
-        for row in bnd.comparison_table(lam, base):
-            row.rel_tol = tol_bounds
-            row.__post_init__()
-            bound_rows.append(row)
-    if "recursive_chain" in enabled:
-        chain = bnd.recursive_upper_chain(float(lam[0]), base, depth=config.k)
-        ratios = lam[1:config.k + 1] / chain[:config.k]
-        bound_rows.append(BoundCheck(
-            name=f"recursive_chain(depth={config.k})",
-            lhs=float(np.max(ratios)), rhs=1.0, rel_tol=tol_bounds,
-            notes="max ratio of computed eigenvalue to chained upper bound"))
+    bound_rows = _bound_rows(lam, BoundParams(l=spec.l, n=spec.n, k=config.k),
+                             config.sweep_pairs(), tol, enabled)
 
     if "oracle" in enabled:
         reference = analytic_spectrum(spec, pairs_needed)
@@ -337,31 +343,7 @@ def run(config: RunConfig, out_override: Optional[str] = None) -> VerificationRe
 
 
 def evaluate_bounds_on_list(lam: Sequence[float], l: int, n: int,
-                            k: Optional[int] = None,
-                            sweeps: Optional[Sequence] = None,
-                            rel_tol: float = 1e-9) -> List[BoundCheck]:
-    """Inequality rows for a user-supplied eigenvalue list (no solve)."""
-    lam = np.asarray(lam, dtype=float)
-    base = BoundParams(l=l, n=n, k=k)
-    rows: List[BoundCheck] = []
-    pairs = list(sweeps) if sweeps is not None else bnd.admissible_grid()
-    for alpha, beta in pairs:
-        rows.append(_bound_row(bnd.yang_type_general, lam,
-                               base.with_exponents(alpha, beta), rel_tol))
-        rows.append(_bound_row(bnd.yang_type_simplified, lam,
-                               base.with_exponents(alpha, beta), rel_tol))
-    rows += _case_rows(lam, base, rel_tol, DEFAULT_TOLERANCES["agreement"])
-    for func in (bnd.quadratic_gap_bound, bnd.spectral_gap_bound,
-                 bnd.yang_first_inequality, bnd.ppw_gap_bound,
-                 bnd.yang_second_inequality):
-        rows.append(_bound_row(func, lam, base, rel_tol))
-    rows += comparison_with_tol(lam, base, rel_tol)
-    return rows
-
-
-def comparison_with_tol(lam, base: BoundParams, rel_tol: float) -> List[BoundCheck]:
-    rows = bnd.comparison_table(lam, base)
-    for row in rows:
-        row.rel_tol = rel_tol
-        row.__post_init__()
-    return rows
+                            k: Optional[int] = None) -> List[BoundCheck]:
+    """Every registered inequality row for a user-supplied eigenvalue list (no solve)."""
+    return _bound_rows(lam, BoundParams(l=l, n=n, k=k), bnd.admissible_grid(),
+                       DEFAULT_TOLERANCES, KNOWN_CHECKS)

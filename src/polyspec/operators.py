@@ -1,11 +1,12 @@
 """Discrete polyharmonic operators on tensor-product grids.
 
-Two compositions of the second-difference stencil live here and they are
+Two compositions of the second-difference stencil are used, and they are
 not the same matrix:
 
-* ``operator_power(L, l)`` iterates the interior operator, restricting to
-  the interior after every application. Its eigenvalues are exactly the
-  l-th powers of the eigenvalues of L.
+* The interior power L^l applies ``build_laplacian(spec)`` l times,
+  restricting to the interior after every application. Its eigenvalues
+  are exactly the l-th powers of the eigenvalues of L; the commutator
+  identity (``commutator_residual``) is stated for it.
 * ``build_polyharmonic(spec)`` applies the free-lattice stencil l times to
   the zero-extended values and restricts once at the end. This is the
   discrete clamped model: its spectrum approximates the order-l clamped
@@ -56,15 +57,6 @@ def _box_laplacian(shape_pts, h) -> sp.csr_matrix:
     return sp.csr_matrix(total)
 
 
-def _box_central_difference(shape_pts, h, p: int) -> sp.csr_matrix:
-    n = len(shape_pts)
-    mats = [sp.identity(shape_pts[e], format="csr") for e in range(n)]
-    # rows give (u_{j+1} - u_{j-1}) / (2h): superdiagonal +1, subdiagonal -1
-    mats[p] = sp.diags([-1.0, 1.0], [-1, 1], shape=(shape_pts[p], shape_pts[p]),
-                       format="csr") / (2.0 * h[p])
-    return _kron_chain(mats)
-
-
 @dataclass
 class DiscreteOperator:
     """Symmetric linear operator on interior grid values.
@@ -106,9 +98,6 @@ class DiscreteOperator:
             v = self.embed_matrix.T @ v
         return v
 
-    def apply_grid(self, u: GridFunction) -> GridFunction:
-        return GridFunction(self.apply(u.values), u.spec)
-
     def matrix(self) -> sp.csr_matrix:
         """Assembled sparse matrix of the full action."""
         if self._matrix_cache is None:
@@ -131,13 +120,6 @@ class DiscreteOperator:
         base_norm = float(np.max(np.abs(self.base).sum(axis=1)))
         return base_norm ** self.power
 
-    @classmethod
-    def from_matrix(cls, m, spec: Optional[DomainSpec] = None,
-                    symmetric: bool = True,
-                    positive_definite: bool = True) -> "DiscreteOperator":
-        return cls(base=sp.csr_matrix(m), power=1, spec=spec,
-                   symmetric=symmetric, positive_definite=positive_definite)
-
 
 def build_laplacian(spec: DomainSpec) -> DiscreteOperator:
     """Second-order (2n+1)-point negative Laplacian with extension-by-zero.
@@ -153,19 +135,6 @@ def build_laplacian(spec: DomainSpec) -> DiscreteOperator:
         mat = sp.csr_matrix(box[np.ix_(idx, idx)])
     return DiscreteOperator(base=mat, power=1, spec=spec,
                             symmetric=True, positive_definite=True)
-
-
-def operator_power(op: DiscreteOperator, l: int) -> DiscreteOperator:
-    """Iterated interior operator; eigenvalues are the l-th powers of op's."""
-    if l < 1:
-        raise ValueError("power l must be a positive integer")
-    if l == 1:
-        return op
-    if not op.symmetric:
-        raise ValueError("operator_power requires a symmetric operator")
-    return DiscreteOperator(base=op.matrix(), power=l, spec=op.spec,
-                            symmetric=True,
-                            positive_definite=op.positive_definite)
 
 
 def build_polyharmonic(spec: DomainSpec) -> DiscreteOperator:
@@ -219,20 +188,6 @@ def central_difference(p: int, u: GridFunction) -> GridFunction:
     out[tuple(bwd)] -= full[tuple(fwd)]
     out /= 2.0 * spec.h[p]
     return GridFunction.from_box(out, spec)
-
-
-def central_difference_operator(spec: DomainSpec, p: int) -> DiscreteOperator:
-    """Matrix form of central_difference (skew-symmetric, not SPD)."""
-    if not 0 <= p < spec.n:
-        raise GridError(f"axis {p} out of range for n={spec.n}")
-    box = _box_central_difference(spec.interior_shape, spec.h, p)
-    if spec.mask is None:
-        mat = box
-    else:
-        idx = spec.flat_indices()
-        mat = sp.csr_matrix(box[np.ix_(idx, idx)])
-    return DiscreteOperator(base=mat, power=1, spec=spec,
-                            symmetric=False, positive_definite=False)
 
 
 def interior_support_region(spec: DomainSpec, margin: int) -> np.ndarray:
@@ -298,20 +253,3 @@ def commutator_residual(spec: DomainSpec, u: GridFunction, p: int) -> float:
     r = apply_times(xu, l) - coords * apply_times(u.values, l) \
         + 2.0 * l * apply_times(du, l - 1)
     return float(np.linalg.norm(r) / np.linalg.norm(u.values))
-
-
-def symmetry_defect(op: DiscreteOperator, trials: int = 100,
-                    seed: int = 0) -> float:
-    """max |<Op x, y> - <x, Op y>| normalized by ||x|| ||y|| ||Op||_est."""
-    rng = np.random.default_rng(seed)
-    dim = op.dimension
-    scale = op.norm_estimate()
-    worst = 0.0
-    for _ in range(trials):
-        x = rng.standard_normal(dim)
-        y = rng.standard_normal(dim)
-        lhs = float(np.dot(op.apply(x), y))
-        rhs = float(np.dot(x, op.apply(y)))
-        denom = np.linalg.norm(x) * np.linalg.norm(y) * scale
-        worst = max(worst, abs(lhs - rhs) / denom)
-    return worst

@@ -15,8 +15,9 @@ from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from typing import List, Optional
 
+from . import __version__
+
 SCHEMA = "polyspec-report/1"
-TOOLKIT_VERSION = "0.1.0"
 
 _BOUND_FIELDS = ["name", "lhs", "rhs", "margin", "holds", "applicable", "notes"]
 
@@ -31,7 +32,7 @@ class VerificationReport:
     verdict: str = "pass"
     error: Optional[str] = None
     schema: str = SCHEMA
-    version: str = TOOLKIT_VERSION
+    version: str = __version__
     timestamp: str = ""
 
     def __post_init__(self):

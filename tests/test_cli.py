@@ -89,6 +89,19 @@ class TestBounds:
         path.write_text("-1.0\n2.0\n")
         assert main(["bounds", "--eigenvalues", str(path)]) == 2
 
+    @pytest.mark.parametrize("values, flags", [
+        ("1.0\n2.0\n3.0\n", ["--k", "3"]),     # k larger than count - 1
+        ("1.0\n2.0\n3.0\n", ["--k", "0"]),
+        ("1.0\n2.0\n3.0\n", ["--l", "0"]),
+        ("3.0\n2.0\n1.0\n", []),               # decreasing list
+    ])
+    def test_bad_parameters_exit_two(self, tmp_path, capsys, values, flags):
+        path = tmp_path / "eigs.txt"
+        path.write_text(values)
+        assert main(["bounds", "--eigenvalues", str(path)] + flags) == 2
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+
 
 class TestFuzz:
     def test_small_run_passes(self, capsys):

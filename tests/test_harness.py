@@ -4,6 +4,8 @@ import json
 
 import pytest
 
+import polyspec
+from polyspec import bounds
 from polyspec.grids import DomainSpec
 from polyspec.harness import (
     KNOWN_CHECKS,
@@ -146,6 +148,7 @@ class TestRun:
         report = run(config, out_override=prefix)
         loaded = load_report(prefix + ".report.json")
         assert loaded == report
+        assert loaded.version == polyspec.__version__
         csv_text = (tmp_path / "demo.bounds.csv").read_text()
         header, *rows = csv_text.strip().splitlines()
         assert header == "name,lhs,rhs,margin,holds,applicable,notes"
@@ -190,6 +193,29 @@ class TestEvaluateBoundsOnList:
     def test_bad_list_rejected(self):
         with pytest.raises(ValueError):
             evaluate_bounds_on_list([1.0], l=1, n=1)
+
+    def test_general_rows_evaluated_once_per_pair(self, monkeypatch):
+        # the sweep and the cross-checks share each general-form row
+        calls = []
+        general = bounds.yang_type_general
+        monkeypatch.setattr(bounds, "yang_type_general", lambda lam, p: (
+            calls.append((p.alpha, p.beta)) or general(lam, p)))
+        evaluate_bounds_on_list(interval_eigenvalues(8), l=1, n=1)
+        assert calls and len(calls) == len(set(calls))
+
+    @pytest.mark.parametrize("config", [
+        square_config(points=20, k=3, seed=1),
+        RunConfig(domain=DomainSpec.with_points("interval", [1.0], [200], l=2),
+                  k=4, seed=2, tolerances={"oracle": 0.1}),
+    ], ids=["square-20", "rod-200-l2"])
+    def test_same_rows_as_run(self, config):
+        # verify and bounds run one check registry: on a run's spectrum the
+        # list evaluation must reproduce the run's inequality rows exactly
+        report = run(config)
+        domain = config.domain
+        rows = evaluate_bounds_on_list(report.spectrum["eigenvalues"],
+                                       l=domain.l, n=domain.n, k=config.k)
+        assert [r.to_dict() for r in rows] == report.bound_rows
 
 
 class TestReportType:
