@@ -14,7 +14,7 @@ import sys
 from typing import List, Optional
 
 from . import algebra
-from .eigensolve import SolverError, smallest_eigenpairs
+from .eigensolve import PairCountError, SolverError, smallest_eigenpairs
 from .harness import ConfigError, RunConfig, evaluate_bounds_on_list, run
 from .operators import build_polyharmonic
 
@@ -194,7 +194,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         return EXIT_USAGE if exc.code not in (0,) else 0
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except (ConfigError, PairCountError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except SolverError as exc:

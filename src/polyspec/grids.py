@@ -28,6 +28,8 @@ class DomainSpec:
     extents and h are per-axis; the interior point count per axis is
     extents[d]/h[d] - 1, which must come out integral. mask (rows of '0'/'1'
     characters, axis 0 major) selects interior cells for masked rectangles.
+    The derived arrays (mask_array, flat_indices, coordinate) are computed
+    once per instance and returned read-only.
     """
 
     shape: str
@@ -76,6 +78,16 @@ class DomainSpec:
             object.__setattr__(self, "mask", mask)
         elif self.mask is not None:
             raise GridError(f"mask is only valid for masked-rectangle, not {self.shape!r}")
+        object.__setattr__(self, "_derived", {})
+
+    def _cached(self, key, build) -> np.ndarray:
+        """build() once per instance, frozen read-only like the spec itself."""
+        out = self._derived.get(key)
+        if out is None:
+            out = build()
+            out.flags.writeable = False
+            self._derived[key] = out
+        return out
 
     @classmethod
     def with_points(cls, shape: str, extents: Sequence[float],
@@ -94,13 +106,17 @@ class DomainSpec:
     @property
     def mask_array(self) -> np.ndarray:
         """Boolean interior-cell selector over the box, C-ordered."""
-        if self.mask is None:
-            return np.ones(self.interior_shape, dtype=bool)
-        return np.array([[ch == "1" for ch in row] for row in self.mask], dtype=bool)
+
+        def build():
+            if self.mask is None:
+                return np.ones(self.interior_shape, dtype=bool)
+            return np.array([[ch == "1" for ch in row] for row in self.mask], dtype=bool)
+
+        return self._cached("mask", build)
 
     @property
     def interior_count(self) -> int:
-        return int(self.mask_array.sum())
+        return self.flat_indices().size
 
     @property
     def cell_volume(self) -> float:
@@ -108,7 +124,7 @@ class DomainSpec:
 
     def flat_indices(self) -> np.ndarray:
         """Positions of interior cells in the C-ordered box raveling."""
-        return np.flatnonzero(self.mask_array.ravel())
+        return self._cached("flat", lambda: np.flatnonzero(self.mask_array.ravel()))
 
     def axis_coordinates(self, p: int) -> np.ndarray:
         if not 0 <= p < self.n:
@@ -119,9 +135,14 @@ class DomainSpec:
         """x_p at every interior cell, in flat (mask-restricted) order."""
         if not 0 <= p < self.n:
             raise GridError(f"axis {p} out of range for n={self.n}")
-        axes = [self.axis_coordinates(d) for d in range(self.n)]
-        grid = np.meshgrid(*axes, indexing="ij")
-        return grid[p].ravel()[self.flat_indices()]
+
+        def build():
+            shape = [1] * self.n
+            shape[p] = -1
+            axis = self.axis_coordinates(p).reshape(shape)
+            return np.broadcast_to(axis, self.interior_shape).ravel()[self.flat_indices()]
+
+        return self._cached(("coordinate", p), build)
 
     def to_dict(self) -> dict:
         out = {

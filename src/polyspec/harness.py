@@ -15,9 +15,9 @@ import numpy as np
 
 from . import bounds as bnd
 from . import identities as ident
-from .algebra import InadmissibleExponents
+from .algebra import ExponentPair, InadmissibleExponents
 from .bounds import BoundCheck, BoundParams, ZeroGapError
-from .eigensolve import SolverError, smallest_eigenpairs
+from .eigensolve import PairCountError, SolverError, smallest_eigenpairs
 from .grids import DomainSpec, GridError
 from .operators import build_polyharmonic
 from .oracles import analytic_spectrum
@@ -209,6 +209,17 @@ class RunConfig:
                 raise ConfigError(f"sweeps must be 'auto-grid' or a pair list, got {self.sweeps!r}")
         else:
             self.sweeps = tuple((float(a), float(b)) for a, b in self.sweeps)
+            for alpha, beta in self.sweeps:
+                # an inadmissible pair only yields skipped rows, so a sweep of
+                # such pairs would pass without checking anything
+                try:
+                    admissible = ExponentPair(alpha, beta).admissible
+                except ValueError as exc:
+                    raise ConfigError(f"sweep pair ({alpha}, {beta}): {exc}") from exc
+                if not admissible:
+                    raise ConfigError(
+                        f"sweep pair ({alpha}, {beta}) is not admissible: "
+                        f"alpha^2 > 2 beta")
 
     def sweep_pairs(self) -> List[tuple]:
         if self.sweeps == "auto-grid":
@@ -270,13 +281,11 @@ def run(config: RunConfig, out_override: Optional[str] = None) -> VerificationRe
 
     operator = build_polyharmonic(spec)
     pairs_needed = config.k + 1
-    if pairs_needed > operator.dimension:
-        raise ConfigError(
-            f"k+1={pairs_needed} eigenpairs exceed operator dimension {operator.dimension}")
-
     try:
         spectrum = smallest_eigenpairs(operator, pairs_needed,
                                        tol=tol["solver"], seed=config.seed)
+    except PairCountError as exc:
+        raise ConfigError(f"k+1: {exc}") from exc
     except SolverError as exc:
         report.error = f"solver failure: {exc}"
         report.verdict = "fail"

@@ -1,16 +1,29 @@
-"""Discrete polyharmonic operators on tensor-product grids.
+"""Discrete polyharmonic operators on tensor-product grids, held as factors.
+
+Every operator is A = G^T G for a sparse factor G built from one
+forward-difference matrix D (stacked per-axis differences, zero outside
+the box), so that D^T D is the (2n+1)-point Dirichlet Laplacian of the
+box. With E injecting the interior (or masked) cells into a box padded
+by l-1 cell layers and L_pad = D^T D on that box:
+
+* even l: G = L_pad^(l/2) E,
+* odd l:  G = D L_pad^((l-1)/2) E,
+
+so A = E^T L_pad^l E. ``build_laplacian`` is the l = 1 case, G = D E.
 
 Two compositions of the second-difference stencil are used, and they are
 not the same matrix:
 
-* The interior power L^l applies ``build_laplacian(spec)`` l times,
-  restricting to the interior after every application. Its eigenvalues
-  are exactly the l-th powers of the eigenvalues of L; the commutator
-  identity (``commutator_residual``) is stated for it.
+* The interior power L^l applies the interior Laplacian
+  ``build_laplacian(spec)`` l times, restricting to the interior after
+  every application. Its eigenvalues are exactly the l-th powers of the
+  eigenvalues of L; the commutator identity (``commutator_residual``) is
+  stated for it.
 * ``build_polyharmonic(spec)`` applies the free-lattice stencil l times to
-  the zero-extended values and restricts once at the end. This is the
-  discrete clamped model: its spectrum approximates the order-l clamped
-  problem (for l = 1 the two coincide).
+  the zero-extended values and restricts once at the end (the padding
+  carries the intermediate values). This is the discrete clamped model:
+  its spectrum approximates the order-l clamped problem (for l = 1 the
+  two coincide).
 
 Both agree on functions supported at least l+1 cells away from the
 boundary, which is what makes the commutator identity exact.
@@ -18,7 +31,8 @@ boundary, which is what makes the commutator identity exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -27,98 +41,96 @@ from scipy.ndimage import binary_erosion
 
 from .grids import DomainSpec, GridFunction, GridError
 
-DENSE_LIMIT = 4000
-
 
 class SupportMarginError(ValueError):
     """Support reaches too close to the boundary for an exact identity."""
 
 
-def _lap1d(m: int, h: float) -> sp.csr_matrix:
-    return sp.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(m, m), format="csr") / h ** 2
+def _forward_difference(shape, h) -> sp.csr_matrix:
+    """Stacked per-axis forward differences with zero values outside the box.
 
-
-def _kron_chain(mats) -> sp.csr_matrix:
-    out = mats[0]
-    for m in mats[1:]:
-        out = sp.kron(out, m, format="csr")
-    return sp.csr_matrix(out)
-
-
-def _box_laplacian(shape_pts, h) -> sp.csr_matrix:
-    """Negative Laplacian with Dirichlet zero boundary on a full box."""
-    n = len(shape_pts)
-    total = None
-    for d in range(n):
-        mats = [sp.identity(shape_pts[e], format="csr") for e in range(n)]
-        mats[d] = _lap1d(shape_pts[d], h[d])
-        term = _kron_chain(mats)
-        total = term if total is None else total + term
-    return sp.csr_matrix(total)
+    D^T D is the (2n+1)-point negative Laplacian with Dirichlet zero
+    boundary on the box.
+    """
+    blocks = []
+    for d, (m, hd) in enumerate(zip(shape, h)):
+        mats = [sp.identity(p, format="csr") for p in shape]
+        mats[d] = sp.diags([np.ones(m), -np.ones(m)], [0, -1], shape=(m + 1, m)) / hd
+        out = mats[0]
+        for mat in mats[1:]:
+            out = sp.kron(out, mat, format="csr")
+        blocks.append(out)
+    return sp.vstack(blocks, format="csr")
 
 
 @dataclass
 class DiscreteOperator:
-    """Symmetric linear operator on interior grid values.
+    """Symmetric positive semidefinite operator A = G^T G on interior values.
 
-    The action is ``restrict . base**power . embed`` where embed injects
-    interior values into a work grid (identity when embed is None). apply
-    is compositional, so powers are never assembled unless matrix() is
-    called, and dense() refuses above DENSE_LIMIT rows.
+    Only the sparse factor G is stored: apply(v) is G^T (G v), and matrix()
+    assembles G^T G for tests and for factoring order-1 operators.
+    order is the differential order l the factor represents; the
+    eigensolver reads it to pick its factorization.
     """
 
-    base: sp.spmatrix
-    power: int = 1
-    embed_matrix: Optional[sp.spmatrix] = None
-    symmetric: bool = True
-    positive_definite: bool = True
+    factor: sp.spmatrix
     spec: Optional[DomainSpec] = None
-    _matrix_cache: Optional[sp.spmatrix] = field(default=None, repr=False)
+    order: int = 1
 
     def __post_init__(self):
-        self.base = sp.csr_matrix(self.base)
-        if self.power < 1:
-            raise ValueError("power must be a positive integer")
-        if self.embed_matrix is not None:
-            self.embed_matrix = sp.csr_matrix(self.embed_matrix)
+        self.factor = sp.csr_matrix(self.factor)
+        if self.order < 1:
+            raise ValueError("order must be a positive integer")
 
     @property
     def dimension(self) -> int:
-        if self.embed_matrix is not None:
-            return self.embed_matrix.shape[1]
-        return self.base.shape[0]
+        return self.factor.shape[1]
 
     def apply(self, values: np.ndarray) -> np.ndarray:
-        v = np.asarray(values, dtype=float)
-        if self.embed_matrix is not None:
-            v = self.embed_matrix @ v
-        for _ in range(self.power):
-            v = self.base @ v
-        if self.embed_matrix is not None:
-            v = self.embed_matrix.T @ v
-        return v
+        return self.factor.T @ (self.factor @ np.asarray(values, dtype=float))
 
     def matrix(self) -> sp.csr_matrix:
-        """Assembled sparse matrix of the full action."""
-        if self._matrix_cache is None:
-            m = self.base
-            for _ in range(self.power - 1):
-                m = m @ self.base
-            if self.embed_matrix is not None:
-                m = self.embed_matrix.T @ m @ self.embed_matrix
-            self._matrix_cache = sp.csr_matrix(m)
-        return self._matrix_cache
+        """Assembled sparse G^T G."""
+        return sp.csr_matrix(self.factor.T @ self.factor)
 
-    def dense(self) -> np.ndarray:
-        if self.dimension > DENSE_LIMIT:
-            raise ValueError(
-                f"refusing dense assembly at dimension {self.dimension} > {DENSE_LIMIT}")
-        return self.matrix().toarray()
 
-    def norm_estimate(self) -> float:
-        """Upper estimate of the operator norm (inf-norm of base, powered)."""
-        base_norm = float(np.max(np.abs(self.base).sum(axis=1)))
-        return base_norm ** self.power
+def _clamped_factor(spec: DomainSpec, l: int) -> sp.csr_matrix:
+    """G with G^T G = E^T L_pad^l E on the box padded by l-1 cells.
+
+    Rows of G that are zero (padding cells no interior cell reaches) are
+    dropped; they do not change G^T G.
+    """
+    pad = l - 1
+    interior = spec.interior_shape
+    padded = tuple(m + 2 * pad for m in interior)
+    d = _forward_difference(padded, spec.h)
+    box_index = np.arange(int(np.prod(padded))).reshape(padded)
+    cells = box_index[tuple(slice(pad, pad + m) for m in interior)].ravel()
+    cells = cells[spec.flat_indices()]
+    g = sp.csr_matrix((np.ones(cells.size), (cells, np.arange(cells.size))),
+                      shape=(box_index.size, cells.size))
+    for _ in range(l // 2):
+        g = d.T @ (d @ g)
+    if l % 2:
+        g = d @ g
+    g = sp.csr_matrix(g)
+    g.eliminate_zeros()
+    g = sp.csr_matrix(g[np.diff(g.indptr) > 0])
+    g.sum_duplicates()  # canonical form, so later reads never sort in place
+    return g
+
+
+@functools.lru_cache(maxsize=64)
+def interior_factor(spec: DomainSpec) -> sp.csr_matrix:
+    """B = D E, the factor of the interior Laplacian B^T B; cached per spec.
+
+    Depends on the grid and mask only, not on spec.l. The matrix is shared
+    between callers, so its arrays are read-only.
+    """
+    b = _clamped_factor(spec, 1)
+    for arr in (b.data, b.indices, b.indptr):
+        arr.flags.writeable = False
+    return b
 
 
 def build_laplacian(spec: DomainSpec) -> DiscreteOperator:
@@ -127,14 +139,7 @@ def build_laplacian(spec: DomainSpec) -> DiscreteOperator:
     On masked rectangles the box operator is restricted to the mask cells,
     which is exactly extension-by-zero on the complement.
     """
-    box = _box_laplacian(spec.interior_shape, spec.h)
-    if spec.mask is None:
-        mat = box
-    else:
-        idx = spec.flat_indices()
-        mat = sp.csr_matrix(box[np.ix_(idx, idx)])
-    return DiscreteOperator(base=mat, power=1, spec=spec,
-                            symmetric=True, positive_definite=True)
+    return DiscreteOperator(factor=interior_factor(spec), spec=spec, order=1)
 
 
 def build_polyharmonic(spec: DomainSpec) -> DiscreteOperator:
@@ -145,22 +150,10 @@ def build_polyharmonic(spec: DomainSpec) -> DiscreteOperator:
     the result is restricted to the interior. Padding l-1 layers reproduces
     the free-lattice composition exactly for data supported on the interior.
     """
-    l = spec.l
-    if l == 1:
+    if spec.l == 1:
         return build_laplacian(spec)
-    pad = l - 1
-    padded_shape = tuple(m + 2 * pad for m in spec.interior_shape)
-    base = _box_laplacian(padded_shape, spec.h)
-
-    mask = spec.mask_array
-    box_index = np.arange(int(np.prod(padded_shape))).reshape(padded_shape)
-    core = box_index[tuple(slice(pad, pad + m) for m in spec.interior_shape)]
-    rows = core.ravel()[spec.flat_indices()]
-    cols = np.arange(rows.size)
-    embed = sp.coo_matrix((np.ones(rows.size), (rows, cols)),
-                          shape=(int(np.prod(padded_shape)), rows.size)).tocsr()
-    return DiscreteOperator(base=base, power=l, embed_matrix=embed, spec=spec,
-                            symmetric=True, positive_definite=True)
+    return DiscreteOperator(factor=_clamped_factor(spec, spec.l), spec=spec,
+                            order=spec.l)
 
 
 def coordinate_multiply(p: int, u: GridFunction) -> GridFunction:
@@ -239,12 +232,12 @@ def commutator_residual(spec: DomainSpec, u: GridFunction, p: int) -> float:
         return 0.0
     check_support_margin(spec, u, spec.l + 1)
 
-    lap = build_laplacian(spec)
+    b = interior_factor(spec)
     l = spec.l
 
     def apply_times(v: np.ndarray, times: int) -> np.ndarray:
         for _ in range(times):
-            v = lap.base @ v
+            v = b.T @ (b @ v)
         return v
 
     xu = coordinate_multiply(p, u).values

@@ -49,6 +49,15 @@ class TestVerify:
                                     "k": 0}))
         assert main(["verify", "--config", str(path)]) == 2
 
+    def test_inadmissible_sweep_exit_two(self, tmp_path):
+        data = RunConfig(
+            domain=DomainSpec.with_points("rectangle", [1.0, 1.0], [20, 20]),
+            k=2).to_dict()
+        data["sweeps"] = [[3.0, 1.0]]
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps(data))
+        assert main(["verify", "--config", str(path)]) == 2
+
     def test_bad_tol_syntax_exit_two(self, config_path):
         assert main(["verify", "--config", config_path, "--tol", "oops"]) == 2
 
@@ -65,6 +74,16 @@ class TestSolve:
         assert main(["solve", "--config", config_path, "--out", prefix]) == 0
         data = json.loads((tmp_path / "spec.spectrum.json").read_text())
         assert data["eigenvalues"][0] == pytest.approx(2 * np.pi ** 2, rel=0.05)
+
+
+    def test_k_at_dimension_exit_two(self, tmp_path, capsys):
+        # Lanczos cannot return all six pairs of a six-point interval
+        config = RunConfig(
+            domain=DomainSpec.with_points("interval", [1.0], [6]), k=6)
+        path = tmp_path / "full.json"
+        path.write_text(json.dumps(config.to_dict()))
+        assert main(["solve", "--config", str(path)]) == 2
+        assert "config error" in capsys.readouterr().err
 
 
 class TestBounds:

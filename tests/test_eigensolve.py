@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 import scipy.sparse as sp
 
 from polyspec.eigensolve import SolverError, smallest_eigenpairs
@@ -39,7 +40,7 @@ class TestSmallestEigenpairs:
         assert s.eigenvalues == pytest.approx(expected, rel=1e-8)
 
     def test_scaled_identity(self):
-        op = DiscreteOperator(base=2.5 * sp.identity(40))
+        op = DiscreteOperator(factor=np.sqrt(2.5) * sp.identity(40))
         s = smallest_eigenpairs(op, 1)
         assert s.eigenvalues[0] == pytest.approx(2.5)
 
@@ -73,7 +74,7 @@ class TestSmallestEigenpairs:
         for l in (2, 3):
             powered = operator_power(lap, l)
             s = smallest_eigenpairs(powered, 5)
-            base = np.sort(np.linalg.eigvalsh(lap.dense()))[:5]
+            base = np.sort(np.linalg.eigvalsh(lap.matrix().toarray()))[:5]
             assert s.eigenvalues == pytest.approx(base ** l, rel=1e-6)
 
     def test_clamped_rod_converges(self):
@@ -96,18 +97,36 @@ class TestSmallestEigenpairs:
         assert np.log2(errors[0] / errors[1]) > 0.7
         assert errors[1] < 0.15
 
+    @pytest.mark.parametrize("shape,points,l", [
+        ("interval", [4000], 2),
+        ("rectangle", [60, 60], 2),
+        ("interval", [400], 3),
+    ], ids=["rod-4000-l2", "plate-60x60-l2", "interval-400-l3"])
+    def test_agrees_with_factor_singular_values(self, shape, points, l):
+        # the squared singular values of G are the oracle: forming G^T G
+        # would square the condition number the test is about
+        spec = DomainSpec.with_points(shape, [1.0] * len(points), points, l=l)
+        op = build_polyharmonic(spec)
+        s = smallest_eigenpairs(op, 6, seed=0)
+        sigma = np.sort(sla.svdvals(op.factor.toarray()))[:6]
+        assert s.eigenvalues == pytest.approx(sigma ** 2, rel=1e-9)
+        assert np.all(s.residuals <= s.solver_tol)
+
     def test_k_exceeds_dimension(self):
-        op = DiscreteOperator(base=sp.identity(5))
+        op = DiscreteOperator(factor=sp.identity(5))
         with pytest.raises(ValueError):
             smallest_eigenpairs(op, 6)
+        with pytest.raises(ValueError):  # Lanczos cannot return all pairs
+            smallest_eigenpairs(op, 5)
 
     def test_k_must_be_positive(self):
-        op = DiscreteOperator(base=sp.identity(5))
+        op = DiscreteOperator(factor=sp.identity(5))
         with pytest.raises(ValueError):
             smallest_eigenpairs(op, 0)
 
     def test_indefinite_operator_rejected(self):
-        op = DiscreteOperator(base=-sp.identity(8))
+        # a factor with a zero column: G^T G is singular, not definite
+        op = DiscreteOperator(factor=sp.diags([1.0] * 7 + [0.0]))
         with pytest.raises(SolverError):
             smallest_eigenpairs(op, 1)
 

@@ -61,6 +61,20 @@ class TestDomainSpec:
         assert again == spec
         assert again.mask_array.sum() == 9
 
+    def test_derived_arrays_cached_read_only(self):
+        mask = ["11111", "10000", "10000", "10000", "10000"]
+        spec = DomainSpec.with_points("masked-rectangle", [1.0, 1.0], [5, 5],
+                                      mask=mask)
+        derived = (spec.mask_array, spec.flat_indices(), spec.coordinate(1))
+        assert derived[0] is spec.mask_array
+        assert derived[1] is spec.flat_indices()
+        assert derived[2] is spec.coordinate(1)
+        assert spec.coordinate(1) == pytest.approx(
+            [0.5 / 3, 1 / 3, 0.5, 2 / 3, 2.5 / 3, 0.5 / 3, 0.5 / 3, 0.5 / 3, 0.5 / 3])
+        for arr in derived:
+            with pytest.raises(ValueError):
+                arr[0] = arr[1]
+
     def test_mask_shape_validation(self):
         with pytest.raises(GridError):
             DomainSpec.with_points("masked-rectangle", [1.0, 1.0], [5, 5],

@@ -52,6 +52,15 @@ class TestRunConfig:
         with pytest.raises(ConfigError):
             square_config(sweeps="everything")
 
+    def test_inadmissible_sweep_pair_rejected(self):
+        # alpha^2 > 2 beta only yields skipped rows: a sweep of such pairs
+        # passed while checking nothing
+        with pytest.raises(ConfigError, match="admissible"):
+            square_config(sweeps=[(3.0, 1.0)],
+                          checks=("yang_type_general", "yang_type_simplified"))
+        with pytest.raises(ConfigError):
+            square_config(sweeps=[(1.0, 1.0), (0.0, -1.0)])
+
     def test_dict_round_trip(self):
         config = square_config(k=4, sweeps=[(2.0, 2.0), (1.0, 1.0)], seed=9)
         again = RunConfig.from_dict(config.to_dict())
@@ -131,10 +140,23 @@ class TestRun:
         assert len(interp) == 4
 
     def test_k_plus_one_exceeding_dimension(self):
+        # Lanczos returns fewer pairs than the dimension: k+1 == 6 is refused too
+        for k in (6, 5):
+            config = RunConfig(
+                domain=DomainSpec.with_points("interval", [1.0], [6], l=1), k=k)
+            with pytest.raises(ConfigError):
+                run(config)
+
+    @pytest.mark.parametrize("points,l", [(2000, 3), (16000, 2)],
+                             ids=["interval-2000-l3", "rod-16000-l2"])
+    def test_fine_high_order_grids_pass(self, points, l):
+        # both failed while the solver worked on the assembled G^T G
         config = RunConfig(
-            domain=DomainSpec.with_points("interval", [1.0], [6], l=1), k=6)
-        with pytest.raises(ConfigError):
-            run(config)
+            domain=DomainSpec.with_points("interval", [1.0], [points], l=l), k=5)
+        report = run(config)
+        assert report.error is None
+        assert report.verdict == "pass"
+        assert report.spectrum["solver_tol"] <= 1e-5
 
     def test_deterministic_bodies(self):
         config = square_config(points=22, k=3, seed=11)
@@ -153,6 +175,17 @@ class TestRun:
         header, *rows = csv_text.strip().splitlines()
         assert header == "name,lhs,rhs,margin,holds,applicable,notes"
         assert len(rows) == len(report.bound_rows)
+
+    def test_shorter_report_saved_over_longer(self, tmp_path):
+        prefix = str(tmp_path / "demo")
+        run(square_config(points=20, k=5, seed=1), out_override=prefix)
+        short = run(square_config(points=20, k=1, seed=1,
+                                  checks=("yang_second_inequality",)),
+                    out_override=prefix)
+        report_text = (tmp_path / "demo.report.json").read_text()
+        assert report_text == json.dumps(short.to_dict(), indent=2,
+                                         sort_keys=True) + "\n"
+        assert (tmp_path / "demo.bounds.csv").read_text() == short.bounds_csv_text()
 
     def test_report_completeness(self):
         # order 2 so the interpolation check is not vacuous

@@ -97,7 +97,7 @@ class TestInterpolation:
         # an exact eigenvector of L treated under l=2 with lam = mu^2
         spec = interval(40, l=2)
         lap = build_laplacian(interval(40, l=1))
-        mu, vec = np.linalg.eigh(lap.dense())
+        mu, vec = np.linalg.eigh(lap.matrix().toarray())
         v = vec[:, 0] / np.sqrt(spec.cell_volume)
         spectrum = Spectrum(eigenvalues=np.array([mu[0] ** 2]),
                             residuals=np.zeros(1), k=1,

@@ -12,6 +12,7 @@ from polyspec.operators import (
     central_difference,
     commutator_residual,
     coordinate_multiply,
+    interior_factor,
     interior_support_region,
     random_interior_function,
 )
@@ -39,7 +40,7 @@ class TestLaplacian:
         m = 40
         spec = interval(m)
         lap = build_laplacian(spec)
-        computed = np.sort(np.linalg.eigvalsh(lap.dense()))
+        computed = np.sort(np.linalg.eigvalsh(lap.matrix().toarray()))
         expected = np.sort(discrete_interval_eigenvalues(m, spec.h[0]))
         assert computed == pytest.approx(expected, rel=1e-10)
 
@@ -67,7 +68,15 @@ class TestLaplacian:
             "rectangle", [1.0, 1.0], [9, 9])).matrix()
         idx = spec.flat_indices()
         expected = box[np.ix_(idx, idx)].toarray()
-        assert np.allclose(lap.dense(), expected)
+        assert np.allclose(lap.matrix().toarray(), expected)
+
+    def test_interior_factor_cached_read_only(self):
+        spec = lshape(9, l=2)
+        b = interior_factor(spec)
+        assert interior_factor(DomainSpec.from_dict(spec.to_dict())) is b
+        assert np.shares_memory(build_laplacian(spec).factor.data, b.data)
+        with pytest.raises(ValueError):
+            b.data[0] = 0.0
 
     def test_symmetry_probe(self):
         for spec in (interval(17), rectangle(9, 11), lshape(9)):
@@ -105,8 +114,8 @@ class TestOperatorPower:
         spec = interval(30)
         lap = build_laplacian(spec)
         squared = operator_power(lap, 2)
-        base_eigs = np.linalg.eigvalsh(lap.dense())
-        sq_eigs = np.linalg.eigvalsh(squared.dense())
+        base_eigs = np.linalg.eigvalsh(lap.matrix().toarray())
+        sq_eigs = np.linalg.eigvalsh(squared.matrix().toarray())
         assert np.sort(sq_eigs) == pytest.approx(np.sort(base_eigs) ** 2, rel=1e-10)
 
     def test_action_matches_repeated_application(self):
@@ -123,14 +132,14 @@ class TestOperatorPower:
 class TestPolyharmonic:
     def test_order_one_is_laplacian(self):
         spec = interval(15, l=1)
-        assert np.allclose(build_polyharmonic(spec).dense(),
-                           build_laplacian(spec).dense())
+        assert np.allclose(build_polyharmonic(spec).matrix().toarray(),
+                           build_laplacian(spec).matrix().toarray())
 
     def test_differs_from_matrix_square_at_boundary(self):
         # zero-extension composition keeps the free-lattice boundary rows
         spec = interval(15, l=2)
-        clamped = build_polyharmonic(spec).dense()
-        squared = operator_power(build_laplacian(spec), 2).dense()
+        clamped = build_polyharmonic(spec).matrix().toarray()
+        squared = operator_power(build_laplacian(spec), 2).matrix().toarray()
         h4 = spec.h[0] ** 4
         assert clamped[0, 0] * h4 == pytest.approx(6.0)
         assert squared[0, 0] * h4 == pytest.approx(5.0)
@@ -142,7 +151,7 @@ class TestPolyharmonic:
             spec = interval(25, l=l)
             op = build_polyharmonic(spec)
             assert symmetry_defect(op, trials=50) < 1e-12
-            eigs = np.linalg.eigvalsh(op.dense())
+            eigs = np.linalg.eigvalsh(op.matrix().toarray())
             assert eigs.min() > 0
 
     def test_agrees_with_power_away_from_boundary(self):
