@@ -6,9 +6,16 @@ the n-dimensional operator x -> A^(-1) x, applied through one sparse LU.
 * Order l >= 2: the augmented matrix K = [[-I, G], [G^T, 0]] is factored
   and K (u, y) = (0, x) gives y = A^(-1) x and u = G y without ever
   forming G^T G, whose condition number is cond(G)^2 (the augmented-system
-  method for least squares; K is the Jordan-Wielandt form of G).
+  method for least squares; K is the Jordan-Wielandt form of G). K is
+  indefinite with a zero diagonal block, so it keeps SuperLU's default
+  COLAMD column order with partial pivoting: elimination without pivoting
+  could meet a zero pivot, and minimum degree on K + K^T fills far more.
 * Order 1: A itself is factored. Its condition number is only O(h^-2),
-  and augmenting would add fill without adding accuracy.
+  and augmenting would add fill without adding accuracy. A is symmetric
+  positive definite, so it is ordered by minimum degree on A + A^T and
+  eliminated without pivoting (diagonal pivots, symmetric mode): that is
+  Cholesky up to diagonal scaling, stable without row exchanges, and its
+  LU has about half the fill of the COLAMD order.
 
 Each pair is certified from the factored residuals. With v normalized, u
 taken from one more solve K (u, .) = (0, v) and normalized, and
@@ -22,7 +29,8 @@ in a row of G. So some eigenvalue of A lies within lam * r of lam, with
 r = eta (2 sigma + eta) / lam the pair's relative radius
 (``Spectrum.residuals``). Its rounding floor scales as eps ||G|| / sigma,
 not eps ||A|| / lam. A pair whose radius exceeds
-max(tol, FLOOR_FACTOR eps ||G|| / sigma_1) raises SolverError; a radius
+max(tol, FLOOR_FACTOR eps ||G|| / sigma_1), or is NaN, raises SolverError
+(a singular A can slip past the factorization as a tiny pivot); a radius
 above tol but within that floor is accepted and only shows in
 Spectrum.solver_tol.
 """
@@ -101,28 +109,26 @@ def _norm_bound(g: sp.csr_matrix) -> float:
 
 
 def _factored_solver(op: DiscreteOperator):
-    """solve(x) -> (A^(-1) x, G A^(-1) x) through one sparse LU.
+    """(inverse, lift) through one sparse LU of the operator.
 
-    x may hold several right sides as columns.
+    inverse(x) = A^(-1) x is the Lanczos operator; lift(x) = G A^(-1) x
+    gives the certificate its u. x may hold several right sides as columns.
     """
     g = op.factor
     try:
         if op.order == 1:
-            lu = spla.splu(sp.csc_matrix(op.matrix()))
-
-            def solve(x):
-                y = lu.solve(x)
-                return y, g @ y
-        else:
-            m = g.shape[0]
-            lu = spla.splu(sp.bmat([[-sp.identity(m), g], [g.T, None]], format="csc"))
-
-            def solve(x):
-                out = lu.solve(np.concatenate([np.zeros((m,) + x.shape[1:]), x]))
-                return out[m:], out[:m]
+            lu = spla.splu(sp.csc_matrix(op.matrix()), permc_spec="MMD_AT_PLUS_A",
+                           diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+            return lu.solve, lambda x: g @ lu.solve(x)
+        m = g.shape[0]
+        lu = spla.splu(sp.bmat([[-sp.identity(m), g], [g.T, None]], format="csc"))
     except RuntimeError as exc:  # SuperLU reports an exactly singular factor
         raise SolverError(f"factorization failed: {exc}") from exc
-    return solve
+
+    def solve(x):
+        return lu.solve(np.concatenate([np.zeros((m,) + x.shape[1:]), x]))
+
+    return (lambda x: solve(x)[m:]), (lambda x: solve(x)[:m])
 
 
 def smallest_eigenpairs(op: DiscreteOperator, k: int, tol: float = 1e-8,
@@ -141,12 +147,11 @@ def smallest_eigenpairs(op: DiscreteOperator, k: int, tol: float = 1e-8,
         raise PairCountError(f"k={k} eigenpairs need an operator dimension "
                              f"above {k}, got {dim}")
 
-    solve = _factored_solver(op)
-    inverse = spla.LinearOperator((dim, dim), matvec=lambda x: solve(x)[0],
-                                  dtype=float)
+    inverse, lift = _factored_solver(op)
+    operator = spla.LinearOperator((dim, dim), matvec=inverse, dtype=float)
     v0 = np.random.default_rng(seed).standard_normal(dim)
     try:
-        mu, v = spla.eigsh(inverse, k=k, which="LM", v0=v0)
+        mu, v = spla.eigsh(operator, k=k, which="LM", v0=v0)
     except spla.ArpackNoConvergence as exc:
         raise SolverError(
             f"ARPACK did not converge: {len(exc.eigenvalues)} of {k} pairs") from exc
@@ -161,7 +166,7 @@ def smallest_eigenpairs(op: DiscreteOperator, k: int, tol: float = 1e-8,
     # certificate from the factored residuals, u from the solve
     g = op.factor
     g_norm = _norm_bound(g)
-    _, u = solve(v)
+    u = lift(v)
     u = u / np.linalg.norm(u, axis=0)
     sigma = np.sqrt(lam)
     eta = np.sqrt(np.sum((g @ v - sigma * u) ** 2, axis=0)
@@ -169,7 +174,9 @@ def smallest_eigenpairs(op: DiscreteOperator, k: int, tol: float = 1e-8,
     eta += (np.diff(g.indptr).max() + 2) * EPS * g_norm
     radii = eta * (2.0 * sigma + eta) / lam
     gate = max(tol, FLOOR_FACTOR * EPS * g_norm / sigma[0])
-    if np.any(radii > gate):
+    # a NaN radius (u = G y rounds to zero on a null vector) fails too;
+    # argmax picks the first NaN
+    if not np.all(radii <= gate):
         worst = int(np.argmax(radii))
         raise SolverError(
             f"pair {worst}: radius {radii[worst]:.3e} exceeds "

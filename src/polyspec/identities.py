@@ -21,6 +21,7 @@ from .operators import (
     commutator_residual,
     coordinate_multiply,
     interior_factor,
+    interior_laplacian,
     random_interior_function,
 )
 
@@ -92,15 +93,15 @@ def interpolation_check(spectrum: Spectrum, spec: DomainSpec,
         return []
     if spectrum.vectors is None:
         raise ValueError("interpolation check needs retained eigenvectors")
-    b = interior_factor(spec)
+    lap = interior_laplacian(spec)
     rows = []
     for i in range(spectrum.k):
         u = spectrum.eigenvector(i).normalized()
         v = u.values
         lam = spectrum.eigenvalues[i]
-        w = v.copy()
+        w = v
         for j in range(1, spec.l):
-            w = b.T @ (b @ w)
+            w = lap @ w
             r = spec.cell_volume * float(np.dot(w, v))
             bound = lam ** (j / spec.l)
             rows.append(IdentityRow(

@@ -120,6 +120,12 @@ def _clamped_factor(spec: DomainSpec, l: int) -> sp.csr_matrix:
     return g
 
 
+def _read_only(matrix: sp.csr_matrix) -> sp.csr_matrix:
+    for arr in (matrix.data, matrix.indices, matrix.indptr):
+        arr.flags.writeable = False
+    return matrix
+
+
 @functools.lru_cache(maxsize=64)
 def interior_factor(spec: DomainSpec) -> sp.csr_matrix:
     """B = D E, the factor of the interior Laplacian B^T B; cached per spec.
@@ -127,10 +133,19 @@ def interior_factor(spec: DomainSpec) -> sp.csr_matrix:
     Depends on the grid and mask only, not on spec.l. The matrix is shared
     between callers, so its arrays are read-only.
     """
-    b = _clamped_factor(spec, 1)
-    for arr in (b.data, b.indices, b.indptr):
-        arr.flags.writeable = False
-    return b
+    return _read_only(_clamped_factor(spec, 1))
+
+
+@functools.lru_cache(maxsize=64)
+def interior_laplacian(spec: DomainSpec) -> sp.csr_matrix:
+    """Assembled interior Laplacian L = B^T B; cached per spec, read-only.
+
+    The interior power L^j is j products with this matrix.
+    """
+    b = interior_factor(spec)
+    lap = sp.csr_matrix(b.T @ b)
+    lap.sum_duplicates()  # canonical, so no later read sorts it in place
+    return _read_only(lap)
 
 
 def build_laplacian(spec: DomainSpec) -> DiscreteOperator:
@@ -183,19 +198,23 @@ def central_difference(p: int, u: GridFunction) -> GridFunction:
     return GridFunction.from_box(out, spec)
 
 
+@functools.lru_cache(maxsize=64)
 def interior_support_region(spec: DomainSpec, margin: int) -> np.ndarray:
     """Boolean box array of cells at least `margin` cells from any boundary.
 
     Masked-out cells count as boundary. Erosion uses the full 3**n
     neighborhood, so the margin is measured in the Chebyshev metric, which
-    is conservative for the axis-aligned stencils.
+    is conservative for the axis-aligned stencils. Cached per (spec,
+    margin) and shared between callers, so the array is read-only.
     """
     mask = spec.mask_array
     if margin <= 0:
-        return mask.copy()
+        return mask
     structure = np.ones((3,) * spec.n, dtype=bool)
-    return binary_erosion(mask, structure=structure, iterations=margin,
-                          border_value=0)
+    region = binary_erosion(mask, structure=structure, iterations=margin,
+                            border_value=0)
+    region.flags.writeable = False
+    return region
 
 
 def check_support_margin(spec: DomainSpec, u: GridFunction, margin: int) -> None:
@@ -232,12 +251,12 @@ def commutator_residual(spec: DomainSpec, u: GridFunction, p: int) -> float:
         return 0.0
     check_support_margin(spec, u, spec.l + 1)
 
-    b = interior_factor(spec)
+    lap = interior_laplacian(spec)
     l = spec.l
 
     def apply_times(v: np.ndarray, times: int) -> np.ndarray:
         for _ in range(times):
-            v = b.T @ (b @ v)
+            v = lap @ v
         return v
 
     xu = coordinate_multiply(p, u).values

@@ -1,10 +1,15 @@
 """CLI subcommands and exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import polyspec
 from polyspec.cli import main
 from polyspec.grids import DomainSpec
 from polyspec.harness import RunConfig
@@ -93,6 +98,19 @@ class TestBounds:
         code = main(["bounds", "--eigenvalues", str(path), "--l", "1", "--n", "1"])
         assert code == 0
         assert "0 failures" in capsys.readouterr().out
+
+    def test_module_entry_point(self, tmp_path):
+        # python -m polyspec with the package found on PYTHONPATH, not installed
+        path = tmp_path / "eigs.txt"
+        path.write_text("\n".join(repr(float(v)) for v in interval_eigenvalues(8)))
+        src = str(Path(polyspec.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run(
+            [sys.executable, "-m", "polyspec", "bounds", "--eigenvalues", str(path),
+             "--l", "1", "--n", "1"],
+            env=env, cwd=tmp_path, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert "0 failures" in done.stdout
 
     def test_violating_list_fails(self, tmp_path):
         path = tmp_path / "eigs.txt"

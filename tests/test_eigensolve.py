@@ -25,19 +25,34 @@ def interval(points, l=1):
 
 
 class TestSmallestEigenpairs:
-    def test_1d_closed_form_dense_path(self):
-        m = 999
+    @pytest.mark.parametrize("m", [999, 4500])
+    def test_1d_closed_form(self, m):
         spec = interval(m)
         s = smallest_eigenpairs(build_laplacian(spec), 3, seed=0)
         expected = discrete_interval_eigenvalues(m, spec.h[0], 3)
         assert s.eigenvalues == pytest.approx(expected, rel=1e-8)
 
-    def test_1d_closed_form_sparse_path(self):
-        m = 4500  # above the dense limit
-        spec = interval(m)
-        s = smallest_eigenpairs(build_laplacian(spec), 3, seed=0)
-        expected = discrete_interval_eigenvalues(m, spec.h[0], 3)
-        assert s.eigenvalues == pytest.approx(expected, rel=1e-8)
+    @pytest.mark.parametrize("points", [[80, 80], [12, 12, 12]],
+                             ids=["square-80-double", "cube-12-triple"])
+    def test_order_one_tensor_sum_spectrum(self, points):
+        # the exact discrete spectrum is the tensor sum of the 1-D ones; k = 6
+        # spans the square's double and the cube's triple eigenvalue
+        shape = "rectangle" if len(points) == 2 else "box"
+        spec = DomainSpec.with_points(shape, [1.0] * len(points), points)
+        exact = np.zeros(1)
+        for m, h in zip(points, spec.h):
+            exact = np.add.outer(exact, discrete_interval_eigenvalues(m, h)).ravel()
+        s = smallest_eigenpairs(build_laplacian(spec), 6, seed=0)
+        assert s.eigenvalues == pytest.approx(np.sort(exact)[:6], rel=1e-12)
+
+    def test_order_one_masked_dense_oracle(self):
+        rows = ["1" * 24] * 12 + ["1" * 12 + "0" * 12] * 12
+        spec = DomainSpec.with_points("masked-rectangle", [1.0, 1.0], [24, 24],
+                                      mask=rows)
+        op = build_laplacian(spec)
+        s = smallest_eigenpairs(op, 6, seed=0)
+        dense = np.sort(np.linalg.eigvalsh(op.matrix().toarray()))[:6]
+        assert s.eigenvalues == pytest.approx(dense, rel=1e-10)
 
     def test_scaled_identity(self):
         op = DiscreteOperator(factor=np.sqrt(2.5) * sp.identity(40))
@@ -129,6 +144,18 @@ class TestSmallestEigenpairs:
         op = DiscreteOperator(factor=sp.diags([1.0] * 7 + [0.0]))
         with pytest.raises(SolverError):
             smallest_eigenpairs(op, 1)
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("m,h", [(401, 1 / 7), (2000, 0.013),
+                                     (3, 1 / 7), (3, 0.3)])
+    def test_singular_order_one_operator_rejected(self, m, h):
+        # Neumann differences: the constant vector is a null vector of G^T G
+        # but no column is zero. Depending on rounding, SuperLU reports an
+        # exactly singular factor, or the tiny pivot gives lambda ~ 0 whose
+        # radius is huge or NaN (u = G y rounds to zero).
+        g = sp.diags([-1.0, 1.0], [0, 1], shape=(m - 1, m)) / h
+        with pytest.raises(SolverError):
+            smallest_eigenpairs(DiscreteOperator(factor=g), 1)
 
     def test_sparse_path_deterministic(self):
         spec = interval(4200)

@@ -13,6 +13,7 @@ from polyspec.operators import (
     commutator_residual,
     coordinate_multiply,
     interior_factor,
+    interior_laplacian,
     interior_support_region,
     random_interior_function,
 )
@@ -77,6 +78,20 @@ class TestLaplacian:
         assert np.shares_memory(build_laplacian(spec).factor.data, b.data)
         with pytest.raises(ValueError):
             b.data[0] = 0.0
+
+    def test_interior_laplacian_and_support_cached_read_only(self):
+        spec = lshape(9, l=2)
+        twin = DomainSpec.from_dict(spec.to_dict())
+        lap = interior_laplacian(spec)
+        assert interior_laplacian(twin) is lap
+        assert interior_support_region(twin, 3) is interior_support_region(spec, 3)
+        assert abs(lap - build_laplacian(spec).matrix()).max() == 0.0
+        with pytest.raises(ValueError):
+            lap.data[0] = 0.0
+        for margin in (0, 3):
+            region = interior_support_region(spec, margin)
+            with pytest.raises(ValueError):
+                region[0, 0] = not region[0, 0]
 
     def test_symmetry_probe(self):
         for spec in (interval(17), rectangle(9, 11), lshape(9)):
