@@ -9,6 +9,7 @@ Everything here is a pure function of its inputs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -59,7 +60,7 @@ class ExponentPair:
     beta: float
 
     def __post_init__(self):
-        if not np.isfinite(self.alpha) or not np.isfinite(self.beta):
+        if not (math.isfinite(self.alpha) and math.isfinite(self.beta)):
             raise ValueError("exponents must be finite")
         if self.beta < 0:
             raise ValueError(f"beta must be nonnegative, got {self.beta}")

@@ -2,20 +2,31 @@
 
 Every evaluator takes the first k+1 eigenvalues of an order-l problem in
 dimension n and reports both sides of one inequality. The shared constant
-is c0 = 2*sqrt(l*(n + 2l - 2))/n with c1 = c0**2.
+is c0 = 2*sqrt(l*(n + 2l - 2))/n with c1 = c0**2. BoundParams.rel_tol is
+the relative slack every row allows its right side.
 
 Zero spectral gaps are handled by a fixed policy: gap terms with a
 nonnegative exponent contribute zero, and any negative gap exponent makes
 the instance inapplicable (signalled by ZeroGapError). Gaps below a small
 relative floor count as zero, which also flags repeated eigenvalues from
 numerical spectra.
+
+The two-exponent forms (yang_type_general, yang_type_simplified) also
+evaluate a whole sweep of (alpha, beta) pairs in one call. The list is
+validated and its gaps computed once; each distinct exponent among alpha,
+beta and 2*alpha - beta - 1 is raised once into one table of gap powers
+(scalar powers, exactly as the one-pair call raises them), and each
+pair's sums are row sums of that table, so a sweep row equals the
+one-pair row bit for bit. The zero-gap policy applies per exponent: a
+negative exponent that meets a zero gap makes only the pairs using it
+inapplicable. The one-pair call is the same code run on one pair.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -45,6 +56,7 @@ class BoundParams:
     alpha: float = 2.0
     beta: float = 2.0
     k: Optional[int] = None
+    rel_tol: float = BOUND_REL_TOL
 
     def __post_init__(self):
         if self.l < 1:
@@ -55,6 +67,8 @@ class BoundParams:
             raise ParameterError("beta must be nonnegative")
         if self.k is not None and self.k < 1:
             raise ParameterError("truncation index k must be >= 1")
+        if not self.rel_tol >= 0:
+            raise ParameterError("slack rel_tol must be nonnegative")
 
     @property
     def c0(self) -> float:
@@ -64,12 +78,9 @@ class BoundParams:
     def c1(self) -> float:
         return 4.0 * self.l * (self.n + 2 * self.l - 2) / self.n ** 2
 
-    @property
-    def pair(self) -> ExponentPair:
-        return ExponentPair(alpha=self.alpha, beta=self.beta)
-
     def with_exponents(self, alpha: float, beta: float) -> "BoundParams":
-        return BoundParams(l=self.l, n=self.n, alpha=alpha, beta=beta, k=self.k)
+        return BoundParams(l=self.l, n=self.n, alpha=alpha, beta=beta, k=self.k,
+                           rel_tol=self.rel_tol)
 
 
 @dataclass
@@ -163,26 +174,91 @@ def _zero_gap_note(zero: np.ndarray) -> str:
     return f"repeated eigenvalues: zero-gap terms dropped at i={idx}"
 
 
-def yang_type_general(lam: Sequence[float], p: BoundParams) -> BoundCheck:
+Pairs = Optional[Sequence[tuple]]
+PairRow = Union[BoundCheck, ZeroGapError, InadmissibleExponents]
+
+
+def _two_exponent_rows(lam: Sequence[float], p: BoundParams, pairs: Pairs,
+                       form: str, weights):
+    """Rows of a two-exponent form, one per (alpha, beta), from one gap-power table.
+
+    The form's lhs is sum (L-l_i)^alpha; its right side is
+    c0 * sqrt(sum (L-l_i)^beta w1_i) * sqrt(sum (L-l_i)^(2a-b-1) w2_i) with
+    (w1, w2) = weights(head, l), a weight None meaning unweighted.
+
+    With pairs None the row of (p.alpha, p.beta) is returned and an
+    inadmissible pair or a zero gap under a negative exponent raises.
+    Otherwise each pair gets its row or, where the pair is inapplicable,
+    the InadmissibleExponents or ZeroGapError the one-pair call would raise.
+    """
+    arr, k = _validated(lam, p.k)
+    head = arr[:k]
+    g, zero = _gaps(arr, k)
+    any_zero = bool(zero.any())
+    column = {}      # exponent -> its row of the gap-power table
+    entries = []
+    for alpha, beta in [(p.alpha, p.beta)] if pairs is None else pairs:
+        if not ExponentPair(alpha, beta).admissible:
+            entries.append(InadmissibleExponents(
+                f"(alpha={alpha}, beta={beta}) violates alpha**2 <= 2*beta"))
+            continue
+        exponents = (alpha, beta, 2.0 * alpha - beta - 1.0)
+        negative = [e for e in exponents if e < 0]
+        if any_zero and negative:
+            entries.append(ZeroGapError(
+                f"zero gap with negative exponent {negative[0]}: strict gap required"))
+            continue
+        entries.append((alpha, beta, [column.setdefault(e, len(column))
+                                      for e in exponents]))
+
+    # one scalar power per exponent, not one broadcast power: numpy's fast
+    # paths for 2, 0.5 and -1 round differently from its general power, so a
+    # broadcast would move rows by an ulp. Zero-gap terms stay 0 under the
+    # zero-contribution policy.
+    g_nz = g[~zero]
+    powers = np.array([g_nz ** e for e in column]).reshape(len(column), g_nz.size)
+    if any_zero:
+        table = np.zeros((len(column), k))
+        table[:, ~zero] = powers
+    else:
+        table = powers
+    plain = table.sum(axis=1)
+    lhs, t1, t2 = (plain.tolist() if w is None else (table * w).sum(axis=1).tolist()
+                   for w in (None,) + weights(head, p.l))
+
+    c0 = p.c0
+    note = _zero_gap_note(zero)
+    rows: List[PairRow] = []
+    for entry in entries:
+        if isinstance(entry, ValueError):
+            rows.append(entry)
+            continue
+        alpha, beta, (a, b, q) = entry
+        rows.append(BoundCheck(name=f"{form}(alpha={alpha:g},beta={beta:g},k={k})",
+                               lhs=lhs[a], rhs=c0 * math.sqrt(t1[b] * t2[q]),
+                               notes=note, rel_tol=p.rel_tol))
+    if pairs is not None:
+        return rows
+    if isinstance(rows[0], ValueError):
+        raise rows[0]
+    return rows[0]
+
+
+def yang_type_general(lam: Sequence[float], p: BoundParams,
+                      pairs: Pairs = None) -> Union[BoundCheck, List[PairRow]]:
     """General two-exponent gap-power inequality.
 
     sum (L-l_i)^alpha <= c0 * sqrt(sum (L-l_i)^beta l_i^((l-1)/l))
                             * sqrt(sum (L-l_i)^(2a-b-1) l_i^(1/l))
     with L = lambda_{k+1}, for alpha**2 <= 2*beta, beta >= 0.
+
+    Returns the BoundCheck at (p.alpha, p.beta), or with pairs a list with
+    one entry per pair: its BoundCheck, or the InadmissibleExponents or
+    ZeroGapError that makes that pair inapplicable.
     """
-    arr, k = _validated(lam, p.k)
-    if not p.pair.admissible:
-        raise InadmissibleExponents(
-            f"(alpha={p.alpha}, beta={p.beta}) violates alpha**2 <= 2*beta")
-    g, zero = _gaps(arr, k)
-    q = 2.0 * p.alpha - p.beta - 1.0
-    lhs = float(np.sum(_gap_pow(g, zero, p.alpha)))
-    head = arr[:k]
-    t1 = float(np.sum(_gap_pow(g, zero, p.beta) * head ** ((p.l - 1) / p.l)))
-    t2 = float(np.sum(_gap_pow(g, zero, q) * head ** (1.0 / p.l)))
-    rhs = p.c0 * math.sqrt(t1 * t2)
-    name = f"yang_type_general(alpha={p.alpha:g},beta={p.beta:g},k={k})"
-    return BoundCheck(name=name, lhs=lhs, rhs=rhs, notes=_zero_gap_note(zero))
+    return _two_exponent_rows(
+        lam, p, pairs, "yang_type_general",
+        lambda head, l: (head ** ((l - 1) / l), head ** (1.0 / l)))
 
 
 def yang_type_case(lam: Sequence[float], p: BoundParams, case: int) -> BoundCheck:
@@ -238,7 +314,8 @@ def yang_type_case(lam: Sequence[float], p: BoundParams, case: int) -> BoundChec
         raise ParameterError(f"case must be 1, 2, 3 or 4, got {case}")
 
     rhs = p.c0 * math.sqrt(t1 * t2)
-    return BoundCheck(name=name, lhs=lhs, rhs=rhs, notes=_zero_gap_note(zero))
+    return BoundCheck(name=name, lhs=lhs, rhs=rhs, notes=_zero_gap_note(zero),
+                      rel_tol=p.rel_tol)
 
 
 def quadratic_gap_bound(lam: Sequence[float], p: BoundParams) -> BoundCheck:
@@ -251,7 +328,7 @@ def quadratic_gap_bound(lam: Sequence[float], p: BoundParams) -> BoundCheck:
     t2 = float(np.sum(g * head ** (1.0 / p.l)))
     rhs = p.c0 * math.sqrt(t1 * t2)
     return BoundCheck(name=f"quadratic_gap_bound(k={k})", lhs=lhs, rhs=rhs,
-                      notes=_zero_gap_note(zero))
+                      notes=_zero_gap_note(zero), rel_tol=p.rel_tol)
 
 
 def spectral_gap_bound(lam: Sequence[float], p: BoundParams) -> BoundCheck:
@@ -264,28 +341,20 @@ def spectral_gap_bound(lam: Sequence[float], p: BoundParams) -> BoundCheck:
     lhs = float(arr[k] - arr[k - 1])
     rhs = p.c1 / k ** 2 * float(np.sum(head ** ((p.l - 1) / p.l))) \
         * float(np.sum(head ** (1.0 / p.l)))
-    return BoundCheck(name=f"spectral_gap_bound(k={k})", lhs=lhs, rhs=rhs)
+    return BoundCheck(name=f"spectral_gap_bound(k={k})", lhs=lhs, rhs=rhs,
+                      rel_tol=p.rel_tol)
 
 
-def yang_type_simplified(lam: Sequence[float], p: BoundParams) -> BoundCheck:
+def yang_type_simplified(lam: Sequence[float], p: BoundParams,
+                         pairs: Pairs = None) -> Union[BoundCheck, List[PairRow]]:
     """Variant with plain gap sums in the first bracket and l_i in the second.
 
     Its right side dominates the general inequality's right side (the
     fractional weights recombine as l_i^((l-1)/l) * l_i^(1/l) = l_i).
+    Takes pairs and returns rows as yang_type_general does.
     """
-    arr, k = _validated(lam, p.k)
-    if not p.pair.admissible:
-        raise InadmissibleExponents(
-            f"(alpha={p.alpha}, beta={p.beta}) violates alpha**2 <= 2*beta")
-    head = arr[:k]
-    g, zero = _gaps(arr, k)
-    q = 2.0 * p.alpha - p.beta - 1.0
-    lhs = float(np.sum(_gap_pow(g, zero, p.alpha)))
-    t1 = float(np.sum(_gap_pow(g, zero, p.beta)))
-    t2 = float(np.sum(_gap_pow(g, zero, q) * head))
-    rhs = p.c0 * math.sqrt(t1 * t2)
-    name = f"yang_type_simplified(alpha={p.alpha:g},beta={p.beta:g},k={k})"
-    return BoundCheck(name=name, lhs=lhs, rhs=rhs, notes=_zero_gap_note(zero))
+    return _two_exponent_rows(lam, p, pairs, "yang_type_simplified",
+                              lambda head, l: (None, head))
 
 
 def yang_first_inequality(lam: Sequence[float], p: BoundParams) -> BoundCheck:
@@ -295,7 +364,8 @@ def yang_first_inequality(lam: Sequence[float], p: BoundParams) -> BoundCheck:
     g, _ = _gaps(arr, k)
     lhs = float(np.sum(g ** 2))
     rhs = p.c1 * float(np.sum(g * head))
-    return BoundCheck(name=f"yang_first_inequality(k={k})", lhs=lhs, rhs=rhs)
+    return BoundCheck(name=f"yang_first_inequality(k={k})", lhs=lhs, rhs=rhs,
+                      rel_tol=p.rel_tol)
 
 
 def ppw_gap_bound(lam: Sequence[float], p: BoundParams) -> BoundCheck:
@@ -303,7 +373,8 @@ def ppw_gap_bound(lam: Sequence[float], p: BoundParams) -> BoundCheck:
     arr, k = _validated(lam, p.k)
     lhs = float(arr[k] - arr[k - 1])
     rhs = p.c1 / k * float(np.sum(arr[:k]))
-    return BoundCheck(name=f"ppw_gap_bound(k={k})", lhs=lhs, rhs=rhs)
+    return BoundCheck(name=f"ppw_gap_bound(k={k})", lhs=lhs, rhs=rhs,
+                      rel_tol=p.rel_tol)
 
 
 def yang_second_inequality(lam: Sequence[float], p: BoundParams) -> BoundCheck:
@@ -311,7 +382,8 @@ def yang_second_inequality(lam: Sequence[float], p: BoundParams) -> BoundCheck:
     arr, k = _validated(lam, p.k)
     lhs = float(arr[k])
     rhs = (1.0 + p.c1) / k * float(np.sum(arr[:k]))
-    return BoundCheck(name=f"yang_second_inequality(k={k})", lhs=lhs, rhs=rhs)
+    return BoundCheck(name=f"yang_second_inequality(k={k})", lhs=lhs, rhs=rhs,
+                      rel_tol=p.rel_tol)
 
 
 def recursive_upper_chain(lambda_1: float, p: BoundParams, depth: int) -> np.ndarray:
@@ -359,7 +431,7 @@ def comparison_table(lam: Sequence[float], p: BoundParams) -> List[BoundCheck]:
             name=f"hile_protter(k={k})",
             lhs=p.n * k / 4.0,
             rhs=float(np.sum(head / g)),
-            notes="lower-bound form: constant <= gap-ratio sum"))
+            notes="lower-bound form: constant <= gap-ratio sum", rel_tol=p.rel_tol))
 
     if zero.any():
         rows.append(BoundCheck.inapplicable(
@@ -370,12 +442,13 @@ def comparison_table(lam: Sequence[float], p: BoundParams) -> List[BoundCheck]:
             lhs=p.n ** 2 * k ** 2 / (4.0 * p.l * (p.n + 2 * p.l - 2)),
             rhs=float(np.sum(head ** (1.0 / p.l) / g))
             * float(np.sum(head ** ((p.l - 1) / p.l))),
-            notes="lower-bound form: constant <= product of sums"))
+            notes="lower-bound form: constant <= product of sums", rel_tol=p.rel_tol))
 
     cim = yang_first_inequality(lam, p)
     rows.append(BoundCheck(name=f"cheng_ichikawa_mametsuka(k={k})",
                            lhs=cim.lhs, rhs=cim.rhs,
-                           notes="same formula as yang_first_inequality"))
+                           notes="same formula as yang_first_inequality",
+                           rel_tol=p.rel_tol))
     return rows
 
 

@@ -29,7 +29,8 @@ in a row of G. So some eigenvalue of A lies within lam * r of lam, with
 r = eta (2 sigma + eta) / lam the pair's relative radius
 (``Spectrum.residuals``). Its rounding floor scales as eps ||G|| / sigma,
 not eps ||A|| / lam. A pair whose radius exceeds
-max(tol, FLOOR_FACTOR eps ||G|| / sigma_1), or is NaN, raises SolverError
+max(tol, FLOOR_FACTOR eps ||G|| / sigma_1), or is NaN, raises SolverError,
+and so does a u that rounds to zero or overflows before it is normalized
 (a singular A can slip past the factorization as a tiny pivot); a radius
 above tol but within that floor is accepted and only shows in
 Spectrum.solver_tol.
@@ -167,15 +168,22 @@ def smallest_eigenpairs(op: DiscreteOperator, k: int, tol: float = 1e-8,
     g = op.factor
     g_norm = _norm_bound(g)
     u = lift(v)
-    u = u / np.linalg.norm(u, axis=0)
+    u_norm = np.linalg.norm(u, axis=0)
+    # u = G A^(-1) v rounds to zero (or overflows) when A is singular to
+    # working precision: no certificate can be formed for that pair
+    degenerate = np.flatnonzero(~(np.isfinite(u_norm) & (u_norm > 0)))
+    if degenerate.size:
+        pair = int(degenerate[0])
+        raise SolverError(f"pair {pair}: lifted vector G A^(-1) v has norm "
+                          f"{u_norm[pair]:.3e}; the operator is singular")
+    u = u / u_norm
     sigma = np.sqrt(lam)
     eta = np.sqrt(np.sum((g @ v - sigma * u) ** 2, axis=0)
                   + np.sum((g.T @ u - sigma * v) ** 2, axis=0)) / np.sqrt(2.0)
     eta += (np.diff(g.indptr).max() + 2) * EPS * g_norm
     radii = eta * (2.0 * sigma + eta) / lam
     gate = max(tol, FLOOR_FACTOR * EPS * g_norm / sigma[0])
-    # a NaN radius (u = G y rounds to zero on a null vector) fails too;
-    # argmax picks the first NaN
+    # a NaN radius fails too; argmax picks the first NaN
     if not np.all(radii <= gate):
         worst = int(np.argmax(radii))
         raise SolverError(

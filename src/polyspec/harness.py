@@ -8,7 +8,8 @@ Runs are deterministic for a fixed config and seed.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import List, Optional, Sequence, Union
 
 import numpy as np
@@ -25,7 +26,7 @@ from .report import VerificationReport
 
 DEFAULT_TOLERANCES = {
     "solver": 1e-8,        # eigenpair residual target
-    "bounds": 1e-9,        # relative slack on inequality right sides
+    "bounds": bnd.BOUND_REL_TOL,  # relative slack on inequality right sides
     "commutator": 1e-10,   # exact identity, unit-spacing replica
     "trace": 1.0,          # multiple of the h^2 lambda^(1/l) correction scale
     "interpolation": 1e-3,
@@ -46,31 +47,63 @@ class ConfigError(ValueError):
 class _SpectrumRows:
     """What the bound checks of one spectrum share.
 
-    General-form rows are kept by exponent pair, so the sweep and every
-    cross-check against the general form evaluate each pair at most once.
+    The general form is evaluated in one sweep call, over every pair that
+    the enabled checks read, each pair once: the sweep pairs, the pairs the
+    displayed cases are compared with, and (2, 2) for the quadratic form.
     """
 
-    def __init__(self, lam, base: BoundParams, pairs, tolerances: dict):
+    def __init__(self, lam, base: BoundParams, pairs, tolerances: dict, checks):
         self.lam = np.asarray(lam, dtype=float)
         self.base = base
         self.pairs = pairs
-        self.tol = tolerances["bounds"]
         self.agreement = tolerances["agreement"]
-        self._general = {}
+        self.checks = checks
+        self.cases = _cases(base)
+        self._general = None
+
+    @cached_property
+    def zero_gap(self) -> bool:
+        return bnd.has_zero_gap(self.lam, self.base.k)
 
     def row(self, func, params=None, *args, name=None) -> BoundCheck:
-        """func's row at params (default: the base parameters) with the run's slack."""
+        """func's row at params (default: the base parameters)."""
         try:
-            check = func(self.lam, self.base if params is None else params, *args)
+            return func(self.lam, self.base if params is None else params, *args)
         except (ZeroGapError, InadmissibleExponents, bnd.ParameterError) as exc:
             return BoundCheck.inapplicable(name or func.__name__, str(exc))
-        return replace(check, rel_tol=self.tol)
+
+    def sweep(self, func, pairs) -> List[BoundCheck]:
+        """func's rows at pairs from one call; an inapplicable pair's row is named after func."""
+        return [entry if isinstance(entry, BoundCheck)
+                else BoundCheck.inapplicable(func.__name__, str(entry))
+                for entry in func(self.lam, self.base, pairs=pairs)]
 
     def general(self, alpha: float, beta: float) -> BoundCheck:
-        if (alpha, beta) not in self._general:
-            self._general[alpha, beta] = self.row(
-                bnd.yang_type_general, self.base.with_exponents(alpha, beta))
+        if self._general is None:
+            pairs = []
+            if {"yang_type_general", "yang_type_simplified"} & self.checks:
+                pairs += self.pairs
+            # with a zero gap the cases are not compared with the general form
+            if "yang_type_cases" in self.checks and not self.zero_gap:
+                pairs += [pair for _, _, pair in self.cases]
+            if "quadratic_gap_bound" in self.checks:
+                pairs.append((2.0, 2.0))
+            pairs = list(dict.fromkeys(pairs))
+            # looked up at call time, so wrappers on the bounds module see the call
+            self._general = dict(zip(pairs, self.sweep(bnd.yang_type_general, pairs)))
         return self._general[alpha, beta]
+
+
+def _cases(base: BoundParams) -> List[tuple]:
+    """(case, its parameters, the general-form pair it writes out) per default case."""
+    out = []
+    for case, alpha, beta in DEFAULT_CASES:
+        p = base.with_exponents(base.alpha if alpha is None else alpha,
+                                base.beta if beta is None else beta)
+        pair = {1: (p.alpha, 2 * p.alpha - 1), 2: (1.0, 1.0),
+                3: (0.5, p.beta), 4: (-1.0, p.beta)}[case]
+        out.append((case, p, pair))
+    return out
 
 
 def _note(row: BoundCheck, text: str) -> None:
@@ -79,27 +112,18 @@ def _note(row: BoundCheck, text: str) -> None:
 
 def _case_rows(rows: _SpectrumRows) -> List[BoundCheck]:
     out = []
-    base = rows.base
-    # with a zero gap the displayed case forms keep gap-free brackets that
-    # the zero-contribution policy legitimately shrinks, so they are only
-    # comparable with the general form on strict-gap spectra
-    zero_gap = bnd.has_zero_gap(rows.lam, base.k)
-    for case, alpha, beta in DEFAULT_CASES:
-        params = base.with_exponents(base.alpha if alpha is None else alpha,
-                                     base.beta if beta is None else beta)
+    for case, params, pair in rows.cases:
         row = rows.row(bnd.yang_type_case, params, case, name=f"yang_type_case({case})")
         out.append(row)
         if not row.applicable:
             continue
-        if zero_gap:
+        # with a zero gap the displayed case forms keep gap-free brackets that
+        # the zero-contribution policy legitimately shrinks, so they are only
+        # comparable with the general form on strict-gap spectra
+        if rows.zero_gap:
             _note(row, "agreement with general form skipped (zero gap)")
             continue
-        general = rows.general(*{
-            1: (params.alpha, 2 * params.alpha - 1),
-            2: (1.0, 1.0),
-            3: (0.5, params.beta),
-            4: (-1.0, params.beta),
-        }[case])
+        general = rows.general(*pair)
         if not general.applicable:
             _note(row, "general form inapplicable here (zero gap); displayed form only")
             continue
@@ -124,15 +148,13 @@ def _quadratic_rows(rows: _SpectrumRows) -> List[BoundCheck]:
 
 
 def _simplified_rows(rows: _SpectrumRows) -> List[BoundCheck]:
-    out = []
-    for alpha, beta in rows.pairs:
-        row = rows.row(bnd.yang_type_simplified, rows.base.with_exponents(alpha, beta))
+    out = rows.sweep(bnd.yang_type_simplified, rows.pairs)
+    for (alpha, beta), row in zip(rows.pairs, out):
         general = rows.general(alpha, beta)
         if row.applicable and general.applicable \
                 and row.rhs < general.rhs * (1 - 1e-12):
             row.holds = False
             row.notes = "fails to dominate the general right side"
-        out.append(row)
     return out
 
 
@@ -142,7 +164,7 @@ def _chain_rows(rows: _SpectrumRows) -> List[BoundCheck]:
     ratios = rows.lam[1:k + 1] / chain[:k]
     return [BoundCheck(
         name=f"recursive_chain(depth={k})",
-        lhs=float(np.max(ratios)), rhs=1.0, rel_tol=rows.tol,
+        lhs=float(np.max(ratios)), rhs=1.0, rel_tol=rows.base.rel_tol,
         notes="max ratio of computed eigenvalue to chained upper bound")]
 
 
@@ -162,8 +184,7 @@ BOUND_CHECKS = (
     ("yang_first_inequality", _single("yang_first_inequality")),
     ("ppw_gap_bound", _single("ppw_gap_bound")),
     ("yang_second_inequality", _single("yang_second_inequality")),
-    ("comparison", lambda rows: [replace(r, rel_tol=rows.tol)
-                                 for r in bnd.comparison_table(rows.lam, rows.base)]),
+    ("comparison", lambda rows: bnd.comparison_table(rows.lam, rows.base)),
     ("recursive_chain", _chain_rows),
 )
 
@@ -174,7 +195,7 @@ KNOWN_CHECKS = IDENTITY_CHECKS + tuple(name for name, _ in BOUND_CHECKS) + ("ora
 def _bound_rows(lam, base: BoundParams, pairs, tolerances: dict,
                 checks) -> List[BoundCheck]:
     """Rows of the registered checks named in checks, in registry order."""
-    rows = _SpectrumRows(lam, base, pairs, tolerances)
+    rows = _SpectrumRows(lam, base, pairs, tolerances, set(checks))
     return [row for name, produce in BOUND_CHECKS if name in checks
             for row in produce(rows)]
 
@@ -320,8 +341,9 @@ def run(config: RunConfig, out_override: Optional[str] = None) -> VerificationRe
             tol_bound=tol["gradient_bound"])
 
     lam = spectrum.eigenvalues
-    bound_rows = _bound_rows(lam, BoundParams(l=spec.l, n=spec.n, k=config.k),
-                             config.sweep_pairs(), tol, enabled)
+    bound_rows = _bound_rows(
+        lam, BoundParams(l=spec.l, n=spec.n, k=config.k, rel_tol=tol["bounds"]),
+        config.sweep_pairs(), tol, enabled)
 
     if "oracle" in enabled:
         reference = analytic_spectrum(spec, pairs_needed)

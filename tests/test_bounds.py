@@ -24,7 +24,7 @@ from polyspec.bounds import (
     yang_type_general,
     yang_type_simplified,
 )
-from polyspec.oracles import box_eigenvalues, interval_eigenvalues
+from polyspec.oracles import box_eigenvalues, clamped_rod_eigenvalues, interval_eigenvalues
 
 PI2 = np.pi ** 2
 SQUARE = box_eigenvalues([1.0, 1.0], 11)
@@ -295,6 +295,68 @@ class TestClampedPlateSpectrum:
                 assert yang_type_general(plate, p).holds, (alpha, beta)
             except ZeroGapError:
                 assert has_zero_gap(plate, 5)
+
+
+def _one_pair(func, lam, p):
+    try:
+        return func(lam, p).to_dict()
+    except (ZeroGapError, InadmissibleExponents) as exc:
+        return type(exc), str(exc)
+
+
+def _swept(func, lam, p, pairs):
+    return [(r.to_dict() if isinstance(r, BoundCheck) else (type(r), str(r)))
+            for r in func(lam, p, pairs=pairs)]
+
+
+class TestSweep:
+    """One call over many (alpha, beta) equals the one-pair calls exactly."""
+
+    @pytest.mark.parametrize("func", [yang_type_general, yang_type_simplified])
+    @pytest.mark.parametrize("lam,l,n,ks", [
+        (interval_eigenvalues(41), 1, 1, (1, 2, 7, 40)),
+        (box_eigenvalues([1.0, 1.0], 41), 1, 2, (1, 2, 3, 10, 40)),
+        (box_eigenvalues([1.0, 1.0, 1.0], 41), 1, 3, (1, 3, 4, 11, 40)),
+        (clamped_rod_eigenvalues(41), 2, 1, (1, 5, 40)),
+        ([2.0, 5.0, 7.0, 7.0, 7.0], 3, 2, (4,)),     # three-fold top eigenvalue
+    ], ids=["interval", "square", "cube", "rod", "triple-top"])
+    def test_sweep_rows_equal_one_pair_rows(self, func, lam, l, n, ks):
+        pairs = admissible_grid() + [(1.5, 2.0), (0.5, 0.5), (2.0, 1.0)]
+        for k in ks:
+            p = params(l=l, n=n, k=k)
+            expected = [_one_pair(func, lam, p.with_exponents(a, b)) for a, b in pairs]
+            assert _swept(func, lam, p, pairs) == expected, k
+
+    @pytest.mark.parametrize("func", [yang_type_general, yang_type_simplified])
+    def test_negative_exponent_on_zero_gap_spectrum(self, func):
+        # only the pairs whose exponents include a negative one are inapplicable
+        lam = [1.0, 2.0, 2.0]
+        pairs = [(-1.0, 1.0), (2.0, 2.0), (0.5, 2.0), (1.0, 0.5), (-1.0, 1.0)]
+        p = params(n=1, k=2)
+        rows = _swept(func, lam, p, pairs)
+        assert rows == [_one_pair(func, lam, p.with_exponents(a, b)) for a, b in pairs]
+        assert [r[0] if isinstance(r, tuple) else None for r in rows] == \
+            [ZeroGapError, None, ZeroGapError, None, ZeroGapError]
+        assert rows[0][1] == "zero gap with negative exponent -1.0: strict gap required"
+        assert rows[2][1] == "zero gap with negative exponent -2.0: strict gap required"
+        assert all(r["applicable"] and "zero-gap" in r["notes"] for r in (rows[1], rows[3]))
+
+    def test_one_pair_call_returns_a_row(self):
+        p = params(n=1, k=2)
+        assert isinstance(yang_type_general(INTERVAL, p), BoundCheck)
+        assert yang_type_general(INTERVAL, p, pairs=[]) == []
+
+
+def test_rel_tol_sets_the_slack():
+    # lambda_2 = 5 (1 + 1e-6) lambda_1 breaks Yang's second inequality at
+    # n = l = 1 by a relative 1e-6
+    lam = [1.0, 5.0 * (1 + 1e-6)]
+    assert not yang_second_inequality(lam, params(n=1)).holds
+    assert yang_second_inequality(lam, BoundParams(l=1, n=1, rel_tol=1e-5)).holds
+    p = BoundParams(l=1, n=1, rel_tol=1e-5)
+    assert p.with_exponents(1.0, 1.0).rel_tol == 1e-5
+    with pytest.raises(ParameterError):
+        BoundParams(l=1, n=1, rel_tol=-1.0)
 
 
 class TestSimplifiedForm:

@@ -145,14 +145,15 @@ class TestSmallestEigenpairs:
         with pytest.raises(SolverError):
             smallest_eigenpairs(op, 1)
 
-    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("m,h", [(401, 1 / 7), (2000, 0.013),
                                      (3, 1 / 7), (3, 0.3)])
     def test_singular_order_one_operator_rejected(self, m, h):
         # Neumann differences: the constant vector is a null vector of G^T G
         # but no column is zero. Depending on rounding, SuperLU reports an
         # exactly singular factor, or the tiny pivot gives lambda ~ 0 whose
-        # radius is huge or NaN (u = G y rounds to zero).
+        # radius is huge or whose u = G y rounds to zero; either raises
+        # before any division by zero warns.
         g = sp.diags([-1.0, 1.0], [0, 1], shape=(m - 1, m)) / h
         with pytest.raises(SolverError):
             smallest_eigenpairs(DiscreteOperator(factor=g), 1)

@@ -228,13 +228,22 @@ class TestEvaluateBoundsOnList:
             evaluate_bounds_on_list([1.0], l=1, n=1)
 
     def test_general_rows_evaluated_once_per_pair(self, monkeypatch):
-        # the sweep and the cross-checks share each general-form row
+        # one general-form call per spectrum serves the sweep and every
+        # cross-check, and evaluates each pair once; with a zero gap the
+        # cases are not compared, so their pairs are not evaluated
         calls = []
         general = bounds.yang_type_general
-        monkeypatch.setattr(bounds, "yang_type_general", lambda lam, p: (
-            calls.append((p.alpha, p.beta)) or general(lam, p)))
-        evaluate_bounds_on_list(interval_eigenvalues(8), l=1, n=1)
-        assert calls and len(calls) == len(set(calls))
+        monkeypatch.setattr(bounds, "yang_type_general", lambda lam, p, pairs=None: (
+            calls.append(pairs) or general(lam, p, pairs)))
+        cross = {(1.5, 2.0), (1.0, 1.0), (0.5, 0.5), (-1.0, 1.0)}
+        for lam, expected_cross in ((interval_eigenvalues(8), cross),
+                                    ([2.0, 5.0, 5.0, 8.0], set())):
+            calls.clear()
+            evaluate_bounds_on_list(lam, l=1, n=1, k=2)
+            assert len(calls) == 1
+            pairs = calls[0]
+            assert len(pairs) == len(set(pairs))
+            assert set(pairs) == set(bounds.admissible_grid()) | expected_cross | {(2.0, 2.0)}
 
     @pytest.mark.parametrize("config", [
         square_config(points=20, k=3, seed=1),
