@@ -5,6 +5,20 @@ inequality, a generalized (three-sequence, two-exponent) Chebyshev
 inequality, and a sampling-based membership test for the power-family
 couples f(x) = (lam - x)**alpha, g(x) = (lam - x)**beta on (0, lam).
 Everything here is a pure function of its inputs.
+
+Each inequality has one array kernel that evaluates a batch of instances
+of one length; the one-instance checks call it with a batch of one. The
+quadratic instance keeps a formula of its own, as an independent
+cross-check of the generalized form.
+
+The randomized fuzz suites draw each trial from the seeded stream exactly
+as a per-trial loop of ``rng.integers(1, 31)`` and ``rng.uniform`` calls
+would: the length k, then all of the trial's uniforms in one
+``rng.random`` call, mapped to each range as ``lo + (hi - lo) * z``, which
+is the arithmetic of ``rng.uniform``. So a seed always yields the same
+instances, and a violation keeps its trial index. The drawn trials are
+evaluated in chunks of ``FUZZ_CHUNK`` trials, grouped by length, with one
+kernel call per group; the chunk bounds the working set.
 """
 
 from __future__ import annotations
@@ -46,10 +60,20 @@ class CheckResult:
         return self.rhs - self.lhs
 
 
-def _verdict(lhs: float, rhs: float, rel_tol: float = REL_TOL,
-             abs_tol: float = ABS_TOL) -> CheckResult:
-    tol = rel_tol * max(abs(lhs), abs(rhs)) + abs_tol
-    return CheckResult(lhs=float(lhs), rhs=float(rhs), holds=lhs <= rhs + tol)
+def _holds(lhs, rhs, rel_tol: float = REL_TOL, abs_tol: float = ABS_TOL):
+    """Verdicts of a batch: lhs <= rhs up to the rounding slack."""
+    tol = rel_tol * np.maximum(np.abs(lhs), np.abs(rhs)) + abs_tol
+    return lhs <= rhs + tol
+
+
+def _check_result(lhs, rhs, rel_tol: float) -> CheckResult:
+    """CheckResult of one instance of a batch (arrays of size one)."""
+    return CheckResult(lhs=lhs.item(), rhs=rhs.item(),
+                       holds=_holds(lhs, rhs, rel_tol).item())
+
+
+def _admissible(alpha, beta):
+    return alpha ** 2 <= 2.0 * beta + 1e-12
 
 
 @dataclass(frozen=True)
@@ -67,12 +91,27 @@ class ExponentPair:
 
     @property
     def admissible(self) -> bool:
-        return self.alpha ** 2 <= 2.0 * self.beta + 1e-12
+        return _admissible(self.alpha, self.beta)
 
     @property
     def conjugate_exponent(self) -> float:
         """The exponent 2*alpha - beta - 1 appearing opposite beta."""
         return 2.0 * self.alpha - self.beta - 1.0
+
+
+def _check_triples(a, b, c) -> None:
+    """Validate triples, one per row of a, b, c (the last axis runs along each)."""
+    if a.shape[-1] < 1 or b.shape != a.shape or c.shape != a.shape:
+        raise ValueError("A, B, C must share a common length >= 1")
+    if np.any(a < 0) or np.any(b < 0) or np.any(c < 0):
+        raise ValueError("all entries must be nonnegative")
+    # orderings are non-strict
+    if np.any(np.diff(a, axis=-1) > 0):
+        raise ValueError("A must be nonincreasing")
+    if np.any(np.diff(b, axis=-1) < 0):
+        raise ValueError("B must be nondecreasing")
+    if np.any(np.diff(c, axis=-1) < 0):
+        raise ValueError("C must be nondecreasing")
 
 
 @dataclass(frozen=True)
@@ -85,18 +124,7 @@ class MonotoneTriple:
 
     def __post_init__(self):
         a, b, c = (np.asarray(s, dtype=float) for s in (self.A, self.B, self.C))
-        k = len(a)
-        if k < 1 or len(b) != k or len(c) != k:
-            raise ValueError("A, B, C must share a common length >= 1")
-        if np.any(a < 0) or np.any(b < 0) or np.any(c < 0):
-            raise ValueError("all entries must be nonnegative")
-        # orderings are non-strict
-        if np.any(np.diff(a) > 0):
-            raise ValueError("A must be nonincreasing")
-        if np.any(np.diff(b) < 0):
-            raise ValueError("B must be nondecreasing")
-        if np.any(np.diff(c) < 0):
-            raise ValueError("C must be nondecreasing")
+        _check_triples(a, b, c)
         object.__setattr__(self, "A", tuple(float(x) for x in a))
         object.__setattr__(self, "B", tuple(float(x) for x in b))
         object.__setattr__(self, "C", tuple(float(x) for x in c))
@@ -123,30 +151,47 @@ class ChiLambdaCouple:
         return (self.lam - np.asarray(x, dtype=float)) ** self.exponents.beta
 
 
+def _power_mean_sides(s: np.ndarray, gamma: np.ndarray):
+    """Both sides of the power-mean inequality for sequences s (n, k), gamma (n,)."""
+    if s.shape[-1] == 0:
+        raise ValueError("sequence must be nonempty")
+    if np.any(s < 0):
+        raise ValueError("entries must be nonnegative")
+    if np.any(gamma < 1):
+        raise ValueError(f"gamma must be >= 1, got {gamma[gamma < 1][0]}")
+    k = s.shape[-1]
+    lhs = np.sum(s, axis=-1) ** gamma
+    rhs = k ** (gamma - 1.0) * np.sum(s ** gamma[..., None], axis=-1)
+    return lhs, rhs
+
+
 def power_mean_holds(s: Sequence[float], gamma: float,
                      rel_tol: float = REL_TOL) -> CheckResult:
     """Check (sum s_i)**gamma <= k**(gamma-1) * sum s_i**gamma for gamma >= 1.
 
     Equality holds when all entries are equal or k == 1.
     """
-    arr = np.asarray(s, dtype=float)
-    if arr.size == 0:
-        raise ValueError("sequence must be nonempty")
-    if np.any(arr < 0):
-        raise ValueError("entries must be nonnegative")
-    if gamma < 1:
-        raise ValueError(f"gamma must be >= 1, got {gamma}")
-    k = arr.size
-    lhs = arr.sum() ** gamma
-    rhs = k ** (gamma - 1.0) * np.sum(arr ** gamma)
-    return _verdict(lhs, rhs, rel_tol)
+    lhs, rhs = _power_mean_sides(np.asarray(s, dtype=float).reshape(1, -1),
+                                 np.array([gamma], dtype=float))
+    return _check_result(lhs, rhs, rel_tol)
 
 
-def _oppositely_ordered(a: np.ndarray, b: np.ndarray) -> bool:
+def _chebyshev_sum_sides(a: np.ndarray, b: np.ndarray):
+    """Both sides of Chebyshev's sum inequality for sequences a, b of shape (n, k)."""
+    if a.shape != b.shape:
+        raise ValueError("sequences must have the same length")
+    if a.shape[-1] == 0:
+        raise ValueError("sequences must be nonempty")
     # (a_i - a_j)(b_i - b_j) <= 0 for all pairs
-    da = a[:, None] - a[None, :]
-    db = b[:, None] - b[None, :]
-    return bool(np.all(da * db <= 1e-15 * (np.abs(da) * np.abs(db) + 1)))
+    da = a[..., :, None] - a[..., None, :]
+    db = b[..., :, None] - b[..., None, :]
+    if not np.all(da * db <= 1e-15 * (np.abs(da) * np.abs(db) + 1)):
+        raise InapplicableInput("sequences are not oppositely ordered")
+    n = a.shape[-1]
+    # BLAS dot products, as np.dot takes them (it copies a strided b first)
+    lhs = np.matmul(a[..., None, :], np.ascontiguousarray(b)[..., :, None])[..., 0, 0]
+    rhs = np.sum(a, axis=-1) * np.sum(b, axis=-1) / n
+    return lhs, rhs
 
 
 def chebyshev_sum_holds(a: Sequence[float], b: Sequence[float],
@@ -157,25 +202,38 @@ def chebyshev_sum_holds(a: Sequence[float], b: Sequence[float],
     (a_i - a_j)(b_i - b_j) <= 0 for every pair; constant sequences give
     equality.
     """
-    av = np.asarray(a, dtype=float)
-    bv = np.asarray(b, dtype=float)
-    if av.size != bv.size:
-        raise ValueError("sequences must have the same length")
-    if av.size == 0:
-        raise ValueError("sequences must be nonempty")
-    if not _oppositely_ordered(av, bv):
-        raise InapplicableInput("sequences are not oppositely ordered")
-    n = av.size
-    lhs = float(np.dot(av, bv))
-    rhs = float(av.sum() * bv.sum() / n)
-    return _verdict(lhs, rhs, rel_tol)
+    lhs, rhs = _chebyshev_sum_sides(np.asarray(a, dtype=float).reshape(1, -1),
+                                    np.asarray(b, dtype=float).reshape(1, -1))
+    return _check_result(lhs, rhs, rel_tol)
 
 
-def _safe_power(base: np.ndarray, exponent: float) -> np.ndarray:
-    if exponent < 0 and np.any(base == 0):
-        raise ZeroBaseError(
-            f"zero base with negative exponent {exponent}; strict positivity required")
-    return base ** exponent
+def _generalized_sides(a: np.ndarray, b: np.ndarray, c: np.ndarray,
+                       alpha: np.ndarray, beta: np.ndarray):
+    """Both sides of the generalized inequality for a batch.
+
+    a, b, c hold one triple per row, shape (n, k); alpha and beta hold the
+    pairs checked against each triple, shape (n, p). Returns lhs and rhs of
+    shape (n, p).
+    """
+    bad = ~_admissible(alpha, beta)
+    if np.any(bad):
+        i = tuple(np.argwhere(bad)[0])
+        raise InadmissibleExponents(
+            f"(alpha={alpha[i]}, beta={beta[i]}) violates alpha**2 <= 2*beta")
+    q = 2.0 * alpha - beta - 1.0
+    zero_base = np.any(a == 0, axis=-1)[..., None]
+    for exponent in (beta, q):
+        hit = zero_base & (exponent < 0)
+        if np.any(hit):
+            raise ZeroBaseError(
+                f"zero base with negative exponent {exponent[tuple(np.argwhere(hit)[0])]}; "
+                "strict positivity required")
+    a, b, c = a[..., None, :], b[..., None, :], c[..., None, :]
+    a_beta = a ** beta[..., None]
+    a_q = a ** q[..., None]
+    lhs = np.sum(a_beta * b, axis=-1) * np.sum(a_q * c, axis=-1)
+    rhs = np.sum(a_beta, axis=-1) * np.sum(a_q * b * c, axis=-1)
+    return lhs, rhs
 
 
 def generalized_chebyshev_holds(t: MonotoneTriple, e: ExponentPair,
@@ -185,18 +243,16 @@ def generalized_chebyshev_holds(t: MonotoneTriple, e: ExponentPair,
     (sum A_i**beta B_i)(sum A_i**q C_i) <= (sum A_i**beta)(sum A_i**q B_i C_i)
     with q = 2*alpha - beta - 1, valid whenever alpha**2 <= 2*beta.
     """
-    if not e.admissible:
-        raise InadmissibleExponents(
-            f"(alpha={e.alpha}, beta={e.beta}) violates alpha**2 <= 2*beta")
-    a = np.asarray(t.A, dtype=float)
-    b = np.asarray(t.B, dtype=float)
-    c = np.asarray(t.C, dtype=float)
-    q = e.conjugate_exponent
-    a_beta = _safe_power(a, e.beta)
-    a_q = _safe_power(a, q)
-    lhs = np.sum(a_beta * b) * np.sum(a_q * c)
-    rhs = np.sum(a_beta) * np.sum(a_q * b * c)
-    return _verdict(lhs, rhs, rel_tol)
+    lhs, rhs = _generalized_sides(np.array([t.A]), np.array([t.B]), np.array([t.C]),
+                                  np.array([[e.alpha]]), np.array([[e.beta]]))
+    return _check_result(lhs, rhs, rel_tol)
+
+
+def _quadratic_sides(a: np.ndarray, b: np.ndarray, c: np.ndarray):
+    """Both sides of the squared-weight instance for triples in rows of (n, k)."""
+    lhs = np.sum(a * a * b, axis=-1) * np.sum(a * c, axis=-1)
+    rhs = np.sum(a * a, axis=-1) * np.sum(a * b * c, axis=-1)
+    return lhs, rhs
 
 
 def quadratic_chebyshev_holds(t: MonotoneTriple,
@@ -206,12 +262,8 @@ def quadratic_chebyshev_holds(t: MonotoneTriple,
     Evaluated directly, independently of generalized_chebyshev_holds, so the
     two can cross-check each other.
     """
-    a = np.asarray(t.A, dtype=float)
-    b = np.asarray(t.B, dtype=float)
-    c = np.asarray(t.C, dtype=float)
-    lhs = np.sum(a * a * b) * np.sum(a * c)
-    rhs = np.sum(a * a) * np.sum(a * b * c)
-    return _verdict(lhs, rhs, rel_tol)
+    lhs, rhs = _quadratic_sides(np.array([t.A]), np.array([t.B]), np.array([t.C]))
+    return _check_result(lhs, rhs, rel_tol)
 
 
 @dataclass(frozen=True)
@@ -287,75 +339,111 @@ class FuzzReport:
         return not self.violations
 
 
-def random_monotone_triple(rng: np.random.Generator, max_len: int = 30,
-                           positive: bool = True) -> MonotoneTriple:
-    """Random triple with well-scaled entries; A strictly positive if asked."""
-    k = int(rng.integers(1, max_len + 1))
-    low = 0.1 if positive else 0.0
-    a = np.sort(rng.uniform(low, 10.0, size=k))[::-1]
-    b = np.sort(rng.uniform(0.0, 10.0, size=k))
-    c = np.sort(rng.uniform(0.0, 10.0, size=k))
-    return MonotoneTriple(A=tuple(a), B=tuple(b), C=tuple(c))
+FUZZ_CHUNK = 1024  # trials evaluated together; bounds the working set
+_MAX_LEN = 30
 
 
-def random_admissible_pair(rng: np.random.Generator) -> ExponentPair:
-    alpha = rng.uniform(-2.0, 3.0)
-    beta = alpha ** 2 / 2.0 + rng.uniform(0.0, 3.0)
-    return ExponentPair(alpha=alpha, beta=beta)
+def _trial_groups(rng: np.random.Generator, trials: int, width):
+    """Draw the suite's trials in order; yield them chunk by chunk, grouped by length.
+
+    Trial t draws k = integers(1, 31), then width(k) uniforms in [0, 1).
+    Yields (k, trial indices, uniforms of shape (n, width(k))).
+    """
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+    for start in range(0, trials, FUZZ_CHUNK):
+        groups = {}
+        for t in range(start, min(start + FUZZ_CHUNK, trials)):
+            k = int(rng.integers(1, _MAX_LEN + 1))
+            groups.setdefault(k, []).append((t, rng.random(width(k))))
+        for k, drawn in groups.items():
+            index, z = zip(*drawn)
+            yield k, index, np.array(z)
+
+
+def _uniform(z: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """rng.uniform(lo, hi) from the rng.random() draws z, bit for bit."""
+    return lo + (hi - lo) * z
+
+
+def _triples(z: np.ndarray, k: int):
+    """Checked monotone triples from the first 3k uniforms of each row, drawn as A, B, C."""
+    a = np.ascontiguousarray(np.sort(_uniform(z[:, :k], 0.1, 10.0), axis=1)[:, ::-1])
+    b = np.sort(_uniform(z[:, k:2 * k], 0.0, 10.0), axis=1)
+    c = np.sort(_uniform(z[:, 2 * k:3 * k], 0.0, 10.0), axis=1)
+    _check_triples(a, b, c)
+    return a, b, c
+
+
+def _scalar_square(x: np.ndarray) -> np.ndarray:
+    # ``alpha ** 2`` on a float calls libm's pow, which differs from
+    # numpy's x * x in the last bit for about one value in a thousand
+    return np.array([v ** 2 for v in x.ravel().tolist()]).reshape(x.shape)
+
+
+def _in_trial_order(found: list) -> list:
+    """Violations from (sort key, violation) entries, in drawing order."""
+    return [v for _, v in sorted(found, key=lambda entry: entry[0])]
 
 
 def fuzz_generalized_chebyshev(trials: int = 10_000, pairs_per_triple: int = 10,
                                seed: int = 0, rel_tol: float = REL_TOL) -> FuzzReport:
     rng = np.random.default_rng(seed)
-    violations = []
-    for t in range(trials):
-        triple = random_monotone_triple(rng, positive=True)
-        for _ in range(pairs_per_triple):
-            pair = random_admissible_pair(rng)
-            res = generalized_chebyshev_holds(triple, pair, rel_tol=rel_tol)
-            if not res.holds:
-                violations.append((t, triple, pair, res))
-    return FuzzReport("generalized_chebyshev", trials, violations)
+    found = []
+    for k, index, z in _trial_groups(rng, trials, lambda k: 3 * k + 2 * pairs_per_triple):
+        a, b, c = _triples(z, k)
+        alpha = _uniform(z[:, 3 * k::2], -2.0, 3.0)
+        beta = _scalar_square(alpha) / 2.0 + _uniform(z[:, 3 * k + 1::2], 0.0, 3.0)
+        lhs, rhs = _generalized_sides(a, b, c, alpha, beta)
+        holds = _holds(lhs, rhs, rel_tol)
+        for i in np.flatnonzero(~holds.all(axis=1)):
+            triple = MonotoneTriple(A=a[i], B=b[i], C=c[i])
+            for j in np.flatnonzero(~holds[i]):
+                pair = ExponentPair(alpha=float(alpha[i, j]), beta=float(beta[i, j]))
+                found.append(((index[i], j), (index[i], triple, pair,
+                                              _check_result(lhs[i, j], rhs[i, j], rel_tol))))
+    return FuzzReport("generalized_chebyshev", trials, _in_trial_order(found))
 
 
 def fuzz_quadratic_chebyshev(trials: int = 10_000, seed: int = 0,
                              rel_tol: float = REL_TOL) -> FuzzReport:
     rng = np.random.default_rng(seed)
-    violations = []
-    for t in range(trials):
-        triple = random_monotone_triple(rng, positive=True)
-        res = quadratic_chebyshev_holds(triple, rel_tol=rel_tol)
-        if not res.holds:
-            violations.append((t, triple, res))
-    return FuzzReport("quadratic_chebyshev", trials, violations)
+    found = []
+    for k, index, z in _trial_groups(rng, trials, lambda k: 3 * k):
+        a, b, c = _triples(z, k)
+        lhs, rhs = _quadratic_sides(a, b, c)
+        for i in np.flatnonzero(~_holds(lhs, rhs, rel_tol)):
+            found.append((index[i], (index[i], MonotoneTriple(A=a[i], B=b[i], C=c[i]),
+                                     _check_result(lhs[i], rhs[i], rel_tol))))
+    return FuzzReport("quadratic_chebyshev", trials, _in_trial_order(found))
 
 
 def fuzz_power_mean(trials: int = 10_000, seed: int = 0,
                     rel_tol: float = REL_TOL) -> FuzzReport:
     rng = np.random.default_rng(seed)
-    violations = []
-    for t in range(trials):
-        k = int(rng.integers(1, 31))
-        s = rng.uniform(0.0, 10.0, size=k)
-        gamma = rng.uniform(1.0, 5.0)
-        res = power_mean_holds(s, gamma, rel_tol=rel_tol)
-        if not res.holds:
-            violations.append((t, s, gamma, res))
-    return FuzzReport("power_mean", trials, violations)
+    found = []
+    for k, index, z in _trial_groups(rng, trials, lambda k: k + 1):
+        s = _uniform(z[:, :k], 0.0, 10.0)
+        gamma = _uniform(z[:, k], 1.0, 5.0)
+        lhs, rhs = _power_mean_sides(s, gamma)
+        for i in np.flatnonzero(~_holds(lhs, rhs, rel_tol)):
+            found.append((index[i], (index[i], s[i], float(gamma[i]),
+                                     _check_result(lhs[i], rhs[i], rel_tol))))
+    return FuzzReport("power_mean", trials, _in_trial_order(found))
 
 
 def fuzz_chebyshev_sum(trials: int = 10_000, seed: int = 0,
                        rel_tol: float = REL_TOL) -> FuzzReport:
     rng = np.random.default_rng(seed)
-    violations = []
-    for t in range(trials):
-        k = int(rng.integers(1, 31))
-        a = np.sort(rng.uniform(-5.0, 5.0, size=k))
-        b = np.sort(rng.uniform(-5.0, 5.0, size=k))[::-1]
-        res = chebyshev_sum_holds(a, b, rel_tol=rel_tol)
-        if not res.holds:
-            violations.append((t, a, b, res))
-    return FuzzReport("chebyshev_sum", trials, violations)
+    found = []
+    for k, index, z in _trial_groups(rng, trials, lambda k: 2 * k):
+        a = np.sort(_uniform(z[:, :k], -5.0, 5.0), axis=1)
+        b = np.sort(_uniform(z[:, k:], -5.0, 5.0), axis=1)[:, ::-1]
+        lhs, rhs = _chebyshev_sum_sides(a, b)
+        for i in np.flatnonzero(~_holds(lhs, rhs, rel_tol)):
+            found.append((index[i], (index[i], a[i], b[i],
+                                     _check_result(lhs[i], rhs[i], rel_tol))))
+    return FuzzReport("chebyshev_sum", trials, _in_trial_order(found))
 
 
 def run_all_fuzz(trials: int = 10_000, seed: int = 0) -> list:

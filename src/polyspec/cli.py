@@ -9,6 +9,7 @@ error, 3 solver failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import List, Optional
@@ -129,6 +130,11 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_fuzz(args) -> int:
+    # zero trials would pass vacuously; numpy rejects a negative seed
+    if args.trials < 1 or args.seed < 0:
+        print(f"fuzz-algebra needs --trials >= 1 and --seed >= 0, "
+              f"got --trials {args.trials} --seed {args.seed}", file=sys.stderr)
+        return EXIT_USAGE
     reports = algebra.run_all_fuzz(trials=args.trials, seed=args.seed)
     chi_params = [(2.0, 2.0, True), (1.0, 1.0, True), (-1.0, 0.5, True),
                   (0.5, 0.125, True), (2.0, 1.0, False), (3.0, 2.0, False)]
@@ -186,10 +192,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    # built once per process: parsing leaves the parser unchanged
+    return build_parser()
+
+
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0,) else 0
     try:

@@ -1,8 +1,10 @@
-"""Reference operators that tests compare polyspec's operators against."""
+"""References that tests compare polyspec against: operators, and the fuzz
+suites drawn and evaluated one trial at a time."""
 
 import numpy as np
 import scipy.sparse as sp
 
+from polyspec.algebra import ExponentPair, MonotoneTriple
 from polyspec.grids import DomainSpec
 from polyspec.operators import DiscreteOperator
 
@@ -52,3 +54,69 @@ def symmetry_defect(op: DiscreteOperator, trials: int = 100,
         denom = np.linalg.norm(x) * np.linalg.norm(y) * scale
         worst = max(worst, abs(lhs - rhs) / denom)
     return worst
+
+
+def random_monotone_triple(rng: np.random.Generator, max_len: int = 30,
+                           positive: bool = True) -> MonotoneTriple:
+    """Random triple with well-scaled entries; A strictly positive if asked."""
+    k = int(rng.integers(1, max_len + 1))
+    low = 0.1 if positive else 0.0
+    a = np.sort(rng.uniform(low, 10.0, size=k))[::-1]
+    b = np.sort(rng.uniform(0.0, 10.0, size=k))
+    c = np.sort(rng.uniform(0.0, 10.0, size=k))
+    return MonotoneTriple(A=tuple(a), B=tuple(b), C=tuple(c))
+
+
+def random_admissible_pair(rng: np.random.Generator) -> ExponentPair:
+    alpha = rng.uniform(-2.0, 3.0)
+    beta = alpha ** 2 / 2.0 + rng.uniform(0.0, 3.0)
+    return ExponentPair(alpha=alpha, beta=beta)
+
+
+def sequential_fuzz(suite: str, trials: int, seed: int,
+                    pairs_per_triple: int = 10) -> list:
+    """Every instance of a fuzz suite as (trial, *instance, lhs, rhs).
+
+    Draws with the per-trial generators above and evaluates each instance
+    with its own scalar formula, one trial at a time. The instance is
+    (triple, pair), (triple,), (s, gamma) or (a, b), in the order of the
+    suite's violation tuples.
+    """
+    rng = np.random.default_rng(seed)
+    out = []
+    for t in range(trials):
+        if suite == "generalized_chebyshev":
+            triple = random_monotone_triple(rng)
+            a, b, c = (np.asarray(s) for s in (triple.A, triple.B, triple.C))
+            for _ in range(pairs_per_triple):
+                pair = random_admissible_pair(rng)
+                a_beta = a ** pair.beta
+                a_q = a ** pair.conjugate_exponent
+                out.append((t, triple, pair,
+                            np.sum(a_beta * b) * np.sum(a_q * c),
+                            np.sum(a_beta) * np.sum(a_q * b * c)))
+        elif suite == "quadratic_chebyshev":
+            triple = random_monotone_triple(rng)
+            a, b, c = (np.asarray(s) for s in (triple.A, triple.B, triple.C))
+            out.append((t, triple, np.sum(a * a * b) * np.sum(a * c),
+                        np.sum(a * a) * np.sum(a * b * c)))
+        elif suite == "power_mean":
+            k = int(rng.integers(1, 31))
+            s = rng.uniform(0.0, 10.0, size=k)
+            gamma = rng.uniform(1.0, 5.0)
+            out.append((t, s, gamma, s.sum() ** gamma,
+                        k ** (gamma - 1.0) * np.sum(s ** gamma)))
+        elif suite == "chebyshev_sum":
+            k = int(rng.integers(1, 31))
+            a = np.sort(rng.uniform(-5.0, 5.0, size=k))
+            b = np.sort(rng.uniform(-5.0, 5.0, size=k))[::-1]
+            out.append((t, a, b, float(np.dot(a, b)), float(a.sum() * b.sum() / k)))
+        else:
+            raise ValueError(f"unknown suite {suite!r}")
+    return out
+
+
+def reference_holds(lhs: float, rhs: float, rel_tol: float,
+                    abs_tol: float = 1e-15) -> bool:
+    """The suites' verdict: lhs <= rhs up to rel_tol * max(|lhs|, |rhs|) + abs_tol."""
+    return lhs <= rhs + rel_tol * max(abs(lhs), abs(rhs)) + abs_tol

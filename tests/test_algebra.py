@@ -1,11 +1,15 @@
 """Algebraic kernel tests: frozen hand values, error paths, properties."""
 
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polyspec.algebra import (
+    FUZZ_CHUNK,
+    REL_TOL,
     CheckResult,
     ChiLambdaCouple,
     ExponentPair,
@@ -22,8 +26,12 @@ from polyspec.algebra import (
     generalized_chebyshev_holds,
     power_mean_holds,
     quadratic_chebyshev_holds,
+)
+from references import (
     random_admissible_pair,
     random_monotone_triple,
+    reference_holds,
+    sequential_fuzz,
 )
 
 
@@ -243,6 +251,56 @@ class TestFuzzSuites:
         for _ in range(100):
             t = random_monotone_triple(rng)
             assert min(t.A) > 0
+
+
+SUITES = {
+    "generalized_chebyshev": fuzz_generalized_chebyshev,
+    "quadratic_chebyshev": fuzz_quadratic_chebyshev,
+    "power_mean": fuzz_power_mean,
+    "chebyshev_sum": fuzz_chebyshev_sum,
+}
+
+
+def _same_instance(got, want) -> bool:
+    if isinstance(want, np.ndarray):
+        return np.array_equal(got, want)
+    return got == want
+
+
+class TestBatchedSuites:
+    @pytest.mark.parametrize("suite, pairs", [
+        ("generalized_chebyshev", 1), ("generalized_chebyshev", 5),
+        ("quadratic_chebyshev", None), ("power_mean", None), ("chebyshev_sum", None)])
+    @pytest.mark.parametrize("trials", [1, FUZZ_CHUNK - 1, FUZZ_CHUNK + 1, 2500])
+    @pytest.mark.parametrize("seed", [0, 17])
+    def test_matches_sequential_reference(self, suite, pairs, trials, seed):
+        kwargs = {} if pairs is None else {"pairs_per_triple": pairs}
+        run = functools.partial(SUITES[suite], trials=trials, seed=seed, **kwargs)
+        reference = sequential_fuzz(suite, trials, seed, **kwargs)
+        # with rel_tol = -inf every instance is a violation, so the report lists them all
+        everything = run(rel_tol=-np.inf)
+        assert everything.trials == trials
+        assert len(everything.violations) == len(reference)
+        for (t, *instance, _), (t_ref, *instance_ref, _, _) in zip(
+                everything.violations, reference):
+            assert t == t_ref
+            assert all(_same_instance(g, w) for g, w in zip(instance, instance_ref))
+        sides = [(v[-1].lhs, v[-1].rhs) for v in everything.violations]
+        np.testing.assert_allclose(sides, [r[-2:] for r in reference], rtol=1e-13, atol=0)
+        violated = {}
+        for rel_tol in (REL_TOL, -1e-13):
+            violated[rel_tol] = [r[0] for r in reference
+                                 if not reference_holds(r[-2], r[-1], rel_tol)]
+            assert [v[0] for v in run(rel_tol=rel_tol).violations] == violated[rel_tol]
+        # near-equal instances (k = 1) fail the negative slack, so the comparison
+        # of violating trials is not vacuous
+        assert violated[-1e-13] or trials == 1
+
+    @pytest.mark.parametrize("suite", sorted(SUITES))
+    @pytest.mark.parametrize("trials", [0, -5])
+    def test_rejects_too_few_trials(self, suite, trials):
+        with pytest.raises(ValueError):
+            SUITES[suite](trials=trials)
 
 
 def test_check_result_margin():

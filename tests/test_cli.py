@@ -148,6 +148,14 @@ class TestFuzz:
         assert "generalized_chebyshev" in out
         assert "violation at" in out  # the two non-member couples
 
+    @pytest.mark.parametrize("flags", [["--trials", "-5"], ["--trials", "0"],
+                                       ["--seed", "-3"]])
+    def test_bad_trials_or_seed_exit_two(self, capsys, flags):
+        assert main(["fuzz-algebra"] + flags) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.strip().splitlines()) == 1
+
 
 class TestUsage:
     def test_no_command_exit_two(self, capsys):
