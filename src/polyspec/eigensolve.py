@@ -1,7 +1,23 @@
 """Smallest eigenpairs of factored operators A = G^T G, with certified radii.
 
 One path for every shape and order: seeded ARPACK Lanczos (``eigsh``) on
-the n-dimensional operator x -> A^(-1) x, applied through one sparse LU.
+the operator x -> A^(-1) x, applied through one sparse LU per block.
+
+Blocks. An unmasked box from ``build_polyharmonic`` or ``build_laplacian``
+carries a ``BoxLayout``, whose reflection-parity blocks G_b = Q_R^T G Q_I
+split G exactly (see ``operators``). When splitting pays, each block is
+factored by the rule below, gets one Lanczos run for k pairs from the
+projection Q_I^T v0 of the seeded start vector, and has its LU freed
+before the next block is factored; a running merge keeps the k smallest
+pairs so far, mapped back as v = Q_I v_b and u = Q_R u_b. The split pays
+through smaller LUs, whose cost their separators set, and costs one
+Lanczos run per block. So it is taken when n >= 2, every block has more
+than k unknowns and the smallest block's separator, l * b^((n-1)/n)
+cells for b unknowns, is at least MIN_BLOCK_SEPARATOR; on 2 cores that
+is where the split stopped losing (about 50^2 for l = 2 squares,
+100^2-130^2 for l = 1 squares, 14^3 for l = 1 cubes). Every other
+operator is one block, G itself. Either way the certificate below is
+formed on the whole G, with the global sigma_1 in its gate.
 
 * Order l >= 2: the augmented matrix K = [[-I, G], [G^T, 0]] is factored
   and K (u, y) = (0, x) gives y = A^(-1) x and u = G y without ever
@@ -50,6 +66,10 @@ from .operators import DiscreteOperator
 
 EPS = np.finfo(float).eps
 FLOOR_FACTOR = 64.0     # multiplies eps * ||G|| / sigma_1 in the acceptance gate
+# fewest separator cells of the smallest parity block for the split to pay:
+# below it the fixed cost of one Lanczos run per block outweighs the saving
+# on the LUs, whose cost the separators set
+MIN_BLOCK_SEPARATOR = 48
 
 
 class SolverError(RuntimeError):
@@ -109,16 +129,16 @@ def _norm_bound(g: sp.csr_matrix) -> float:
     return float(np.sqrt(absolute.sum(axis=0).max() * absolute.sum(axis=1).max()))
 
 
-def _factored_solver(op: DiscreteOperator):
-    """(inverse, lift) through one sparse LU of the operator.
+def _factored_solver(g: sp.csr_matrix, order: int):
+    """(inverse, lift) through one sparse LU of A = G^T G.
 
     inverse(x) = A^(-1) x is the Lanczos operator; lift(x) = G A^(-1) x
     gives the certificate its u. x may hold several right sides as columns.
     """
-    g = op.factor
     try:
-        if op.order == 1:
-            lu = spla.splu(sp.csc_matrix(op.matrix()), permc_spec="MMD_AT_PLUS_A",
+        if order == 1:
+            a = sp.csr_matrix(g.T @ g)
+            lu = spla.splu(sp.csc_matrix(a), permc_spec="MMD_AT_PLUS_A",
                            diag_pivot_thresh=0.0, options={"SymmetricMode": True})
             return lu.solve, lambda x: g @ lu.solve(x)
         m = g.shape[0]
@@ -132,11 +152,53 @@ def _factored_solver(op: DiscreteOperator):
     return (lambda x: solve(x)[m:]), (lambda x: solve(x)[:m])
 
 
+def _blocks(op: DiscreteOperator, k: int):
+    """(G_b, Q_I, Q_R) per parity block when splitting pays, else (G, None, None).
+
+    The blocks are built one at a time, as the caller asks for them.
+    """
+    layout = op.layout
+    if layout is not None and len(layout.interior) >= 2:
+        n = len(layout.interior)
+        parities = layout.parities()
+        smallest = min(layout.block_dimension(p) for p in parities)
+        # separator order * smallest^((n-1)/n) against the threshold, in integers
+        if smallest > k and op.order ** n * smallest ** (n - 1) >= MIN_BLOCK_SEPARATOR ** n:
+            for parity in parities:
+                yield layout.block(op.factor, parity)
+            return
+    yield op.factor, None, None
+
+
+def _block_pairs(g: sp.csr_matrix, order: int, k: int, v0: np.ndarray):
+    """(lam, v, lift): the k smallest eigenvalues of G^T G, ascending,
+    their unit Lanczos vectors, and lift(x) = G (G^T G)^(-1) x.
+
+    lift holds the block's LU; drop it before factoring another block.
+    """
+    inverse, lift = _factored_solver(g, order)
+    dim = g.shape[1]
+    operator = spla.LinearOperator((dim, dim), matvec=inverse, dtype=float)
+    try:
+        mu, v = spla.eigsh(operator, k=k, which="LM", v0=v0)
+    except spla.ArpackNoConvergence as exc:
+        raise SolverError(
+            f"ARPACK did not converge: {len(exc.eigenvalues)} of {k} pairs") from exc
+    order = np.argsort(mu)[::-1]
+    mu = mu[order]
+    if mu[-1] <= 0:
+        raise SolverError(
+            f"smallest computed eigenvalue {1.0 / mu[-1]:.3e} is not positive")
+    v = v[:, order] / np.linalg.norm(v[:, order], axis=0)
+    return 1.0 / mu, v, lift
+
+
 def smallest_eigenpairs(op: DiscreteOperator, k: int, tol: float = 1e-8,
                         seed: int = 0, compute_vectors: bool = True) -> Spectrum:
     """k smallest eigenpairs of A = G^T G, each with a certified radius.
 
-    Deterministic for a fixed seed: ARPACK gets a seeded starting vector.
+    Deterministic for a fixed seed: ARPACK gets a seeded starting vector
+    (its projection onto each parity block when the operator splits).
     Lanczos cannot return every pair, so k must stay below the operator
     dimension. Spectrum.residuals holds each pair's relative radius and
     solver_tol the larger of tol and the largest radius.
@@ -148,26 +210,34 @@ def smallest_eigenpairs(op: DiscreteOperator, k: int, tol: float = 1e-8,
         raise PairCountError(f"k={k} eigenpairs need an operator dimension "
                              f"above {k}, got {dim}")
 
-    inverse, lift = _factored_solver(op)
-    operator = spla.LinearOperator((dim, dim), matvec=inverse, dtype=float)
     v0 = np.random.default_rng(seed).standard_normal(dim)
-    try:
-        mu, v = spla.eigsh(operator, k=k, which="LM", v0=v0)
-    except spla.ArpackNoConvergence as exc:
-        raise SolverError(
-            f"ARPACK did not converge: {len(exc.eigenvalues)} of {k} pairs") from exc
-    order = np.argsort(mu)[::-1]
-    mu = mu[order]
-    if mu[-1] <= 0:
-        raise SolverError(
-            f"smallest computed eigenvalue {1.0 / mu[-1]:.3e} is not positive")
-    lam = 1.0 / mu
-    v = v[:, order] / np.linalg.norm(v[:, order], axis=0)
+    lam = v = u = None
+    for g_b, columns, rows in _blocks(op, k):
+        start = v0 if columns is None else columns.T @ v0
+        lam_b, v_b, lift = _block_pairs(g_b, op.order, k, start)
+        if lam is not None:
+            # running merge with the k smallest pairs so far, earlier blocks
+            # first on ties; only the block's pairs that enter it are lifted
+            best = np.argsort(np.concatenate([lam, lam_b]), kind="stable")[:k]
+            fresh = best >= k
+            v_b = v_b[:, best[fresh] - k]
+        u_b = lift(v_b)
+        del lift  # frees the block's LU
+        if columns is not None:
+            v_b = columns @ v_b
+            v_b /= np.linalg.norm(v_b, axis=0)
+            u_b = rows @ u_b
+        if lam is None:
+            lam, v, u = lam_b, v_b, u_b
+        else:
+            lam = np.concatenate([lam, lam_b])[best]
+            take = np.where(fresh, k + np.cumsum(fresh) - 1, best)
+            v = np.hstack([v, v_b])[:, take]
+            u = np.hstack([u, u_b])[:, take]
 
-    # certificate from the factored residuals, u from the solve
+    # certificate on the whole factor, from the factored residuals
     g = op.factor
     g_norm = _norm_bound(g)
-    u = lift(v)
     u_norm = np.linalg.norm(u, axis=0)
     # u = G A^(-1) v rounds to zero (or overflows) when A is singular to
     # working precision: no certificate can be formed for that pair

@@ -148,34 +148,6 @@ def trace_identity_check(spectrum: Spectrum, spec: DomainSpec,
     return rows
 
 
-def trace_identity_orders(spec: DomainSpec, k: int, levels: int = 3,
-                          solver_tol: float = 1e-8, seed: int = 0) -> np.ndarray:
-    """Observed convergence orders of the trace deviation under refinement.
-
-    Solves the domain at h, h/2, ..., h/2^(levels-1) and returns
-    log2(d_coarse / d_fine) per refinement step, averaged over eigenpairs
-    and axes.
-    """
-    from .eigensolve import smallest_eigenpairs
-    from .operators import build_polyharmonic
-
-    if levels < 2:
-        raise ValueError("need at least two refinement levels")
-    if spec.mask is not None:
-        raise ValueError("refinement study is defined for unmasked shapes only")
-    deviations = []
-    for level in range(levels):
-        refined = DomainSpec(
-            shape=spec.shape, n=spec.n, extents=spec.extents,
-            h=tuple(v / 2 ** level for v in spec.h), l=spec.l, mask=None)
-        spectrum = smallest_eigenpairs(build_polyharmonic(refined), k,
-                                       tol=solver_tol, seed=seed)
-        devs = [abs(val - 1.0) for _, _, val in _trace_values(spectrum, refined)]
-        deviations.append(np.mean(devs))
-    deviations = np.asarray(deviations)
-    return np.log2(deviations[:-1] / deviations[1:])
-
-
 def gradient_sum_check(spectrum: Spectrum, spec: DomainSpec,
                        tol_match: float = 6.0,
                        tol_bound: float = 1e-3) -> List[IdentityRow]:

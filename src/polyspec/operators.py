@@ -27,17 +27,31 @@ not the same matrix:
 
 Both agree on functions supported at least l+1 cells away from the
 boundary, which is what makes the commutator identity exact.
+
+Reflection-parity blocks. Without a mask, the padded box keeps the
+reflection j <-> m-1-j of every axis, and so does the stencil: G maps the
+cells of one parity pattern b (even or odd on each axis) to the rows of one
+parity pattern. With orthonormal bases Q_I,b of the interior cells and
+Q_R,b of G's rows, each a Kronecker product of 1-D even/odd bases, G splits
+exactly into the 2^n blocks G_b = Q_R,b^T G Q_I,b (Bossavit, Comput.
+Methods Appl. Mech. Eng. 56, 1986). G's rows are the padded cells for even
+l. For odd l they are the stacked per-axis edges, and the differenced axis
+takes the opposite parity, because D maps even cells to odd edges. Only
+``build_laplacian`` and ``build_polyharmonic`` know that row layout; they
+attach it to unmasked operators as a ``BoxLayout``, which builds one block
+at a time.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
+import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.ndimage import binary_erosion
 
 from .grids import DomainSpec, GridFunction, GridError
 
@@ -50,7 +64,8 @@ def _forward_difference(shape, h) -> sp.csr_matrix:
     """Stacked per-axis forward differences with zero values outside the box.
 
     D^T D is the (2n+1)-point negative Laplacian with Dirichlet zero
-    boundary on the box.
+    boundary on the box. Block d has one row per edge of axis d: shape with
+    m_d + 1 in place of m_d.
     """
     blocks = []
     for d, (m, hd) in enumerate(zip(shape, h)):
@@ -63,6 +78,113 @@ def _forward_difference(shape, h) -> sp.csr_matrix:
     return sp.vstack(blocks, format="csr")
 
 
+def _parity_triplets(sizes, parity) -> tuple:
+    """(rows, cols, vals, dim) of the orthonormal basis of the box vectors
+    with one reflection parity per axis.
+
+    On an axis of m points, the reflection j <-> m-1-j keeps the even
+    vectors and negates the odd ones. Column j < m // 2 of the 1-D basis
+    is (e_j +- e_(m-1-j)) / sqrt(2); for odd m the centre point is the last
+    even column. The box basis is the Kronecker product of the 1-D bases
+    over the axes, axis 0 major.
+    """
+    rows = cols = np.zeros(1, dtype=np.intp)
+    vals = np.ones(1)
+    dim = 1
+    scale = np.sqrt(0.5)
+    for m, odd in zip(sizes, parity):
+        half = m // 2
+        axis_dim = (m + (not odd)) // 2
+        pairs = np.arange(half)
+        r = [pairs, m - 1 - pairs]
+        c = [pairs, pairs]
+        v = [np.full(half, scale), np.full(half, -scale if odd else scale)]
+        if axis_dim > half:  # the centre of an odd axis, even parity
+            r.append([half])
+            c.append([half])
+            v.append([1.0])
+        rows = (rows[:, None] * m + np.concatenate(r)).ravel()
+        cols = (cols[:, None] * axis_dim + np.concatenate(c)).ravel()
+        vals = (vals[:, None] * np.concatenate(v)).ravel()
+        dim *= axis_dim
+    return rows, cols, vals, dim
+
+
+class ParityBlock(NamedTuple):
+    """One block G_b = Q_R,b^T G Q_I,b, with the bases that map it back.
+
+    A block vector v_b stands for columns @ v_b on the interior cells, a
+    block row vector u_b for rows @ u_b on G's rows. rows keeps only the
+    basis vectors whose row of G_b is not zero.
+    """
+
+    factor: sp.csr_matrix
+    columns: sp.spmatrix
+    rows: sp.spmatrix
+
+
+@dataclass(frozen=True, eq=False)
+class BoxLayout:
+    """Where the rows and columns of an unmasked box operator's G sit.
+
+    Columns are the interior cells, C-ordered. Rows are the cells of the
+    box padded by `pad` layers (edges False, even l) or the stacked
+    per-axis edges of that box (edges True, odd l); G keeps the rows
+    `kept` of that full layout.
+    """
+
+    interior: tuple
+    pad: int
+    edges: bool
+    kept: np.ndarray
+
+    def parities(self) -> list:
+        """Every parity pattern, one flag per axis (True: odd), all-even first."""
+        return list(itertools.product((False, True), repeat=len(self.interior)))
+
+    def block_dimension(self, parity) -> int:
+        """Unknowns of the block of one parity pattern."""
+        return math.prod((m + (not odd)) // 2 for m, odd in zip(self.interior, parity))
+
+    def bases(self, parity) -> tuple:
+        """(Q_I, Q_R^T) of one parity pattern, with Q_R on G's kept rows."""
+        r, c, v, dim = _parity_triplets(self.interior, parity)
+        columns = sp.csr_matrix((v, (r, c)), shape=(math.prod(self.interior), dim))
+        padded = [m + 2 * self.pad for m in self.interior]
+        if not self.edges:
+            r, c, v, dim = _parity_triplets(padded, parity)
+            total = math.prod(padded)
+        else:
+            # block d of D maps cells to the edges of axis d: one more point
+            # on that axis, and the opposite parity there
+            parts, total, dim = [], 0, 0
+            for d in range(len(padded)):
+                sizes = [m + (e == d) for e, m in enumerate(padded)]
+                r, c, v, part_dim = _parity_triplets(
+                    sizes, [odd != (e == d) for e, odd in enumerate(parity)])
+                parts.append((r + total, c + dim, v))
+                total += math.prod(sizes)
+                dim += part_dim
+            r, c, v = (np.concatenate(x) for x in zip(*parts))
+        position = np.full(total, -1)
+        position[self.kept] = np.arange(self.kept.size)
+        r = position[r]
+        inside = r >= 0  # a basis vector's rows are all kept or all dropped
+        rows_t = sp.csr_matrix((v[inside], (c[inside], r[inside])),
+                               shape=(dim, self.kept.size))
+        return columns, rows_t
+
+    def block(self, factor: sp.csr_matrix, parity) -> ParityBlock:
+        """G_b = Q_R^T G Q_I for one parity pattern, its zero rows dropped."""
+        columns, rows_t = self.bases(parity)
+        g = sp.csr_matrix(rows_t @ (factor @ columns))
+        g.eliminate_zeros()
+        nonzero = np.diff(g.indptr) > 0
+        g = sp.csr_matrix(g[nonzero])
+        g.sum_duplicates()
+        return ParityBlock(g, columns, sp.csr_matrix(rows_t[nonzero]).T)
+
+
 @dataclass
 class DiscreteOperator:
     """Symmetric positive semidefinite operator A = G^T G on interior values.
@@ -70,12 +192,15 @@ class DiscreteOperator:
     Only the sparse factor G is stored: apply(v) is G^T (G v), and matrix()
     assembles G^T G for tests and for factoring order-1 operators.
     order is the differential order l the factor represents; the
-    eigensolver reads it to pick its factorization.
+    eigensolver reads it to pick its factorization. layout is set by the
+    builders on unmasked boxes, whose G they know splits into parity
+    blocks; an operator built any other way has none, spec or not.
     """
 
     factor: sp.spmatrix
     spec: Optional[DomainSpec] = None
     order: int = 1
+    layout: Optional[BoxLayout] = None
 
     def __post_init__(self):
         self.factor = sp.csr_matrix(self.factor)
@@ -94,11 +219,11 @@ class DiscreteOperator:
         return sp.csr_matrix(self.factor.T @ self.factor)
 
 
-def _clamped_factor(spec: DomainSpec, l: int) -> sp.csr_matrix:
-    """G with G^T G = E^T L_pad^l E on the box padded by l-1 cells.
+def _clamped_factor(spec: DomainSpec, l: int) -> tuple:
+    """(G, layout): G^T G = E^T L_pad^l E on the box padded by l-1 cells.
 
     Rows of G that are zero (padding cells no interior cell reaches) are
-    dropped; they do not change G^T G.
+    dropped; they do not change G^T G. layout is None on masked domains.
     """
     pad = l - 1
     interior = spec.interior_shape
@@ -115,9 +240,14 @@ def _clamped_factor(spec: DomainSpec, l: int) -> sp.csr_matrix:
         g = d @ g
     g = sp.csr_matrix(g)
     g.eliminate_zeros()
-    g = sp.csr_matrix(g[np.diff(g.indptr) > 0])
+    kept = np.flatnonzero(np.diff(g.indptr) > 0)
+    g = sp.csr_matrix(g[kept])
     g.sum_duplicates()  # canonical form, so later reads never sort in place
-    return g
+    layout = None
+    if spec.mask is None:
+        kept.flags.writeable = False
+        layout = BoxLayout(interior, pad, bool(l % 2), kept)
+    return g, layout
 
 
 def _read_only(matrix: sp.csr_matrix) -> sp.csr_matrix:
@@ -127,13 +257,18 @@ def _read_only(matrix: sp.csr_matrix) -> sp.csr_matrix:
 
 
 @functools.lru_cache(maxsize=64)
+def _interior(spec: DomainSpec) -> tuple:
+    g, layout = _clamped_factor(spec, 1)
+    return _read_only(g), layout
+
+
 def interior_factor(spec: DomainSpec) -> sp.csr_matrix:
     """B = D E, the factor of the interior Laplacian B^T B; cached per spec.
 
     Depends on the grid and mask only, not on spec.l. The matrix is shared
     between callers, so its arrays are read-only.
     """
-    return _read_only(_clamped_factor(spec, 1))
+    return _interior(spec)[0]
 
 
 @functools.lru_cache(maxsize=64)
@@ -154,7 +289,8 @@ def build_laplacian(spec: DomainSpec) -> DiscreteOperator:
     On masked rectangles the box operator is restricted to the mask cells,
     which is exactly extension-by-zero on the complement.
     """
-    return DiscreteOperator(factor=interior_factor(spec), spec=spec, order=1)
+    factor, layout = _interior(spec)
+    return DiscreteOperator(factor=factor, spec=spec, order=1, layout=layout)
 
 
 def build_polyharmonic(spec: DomainSpec) -> DiscreteOperator:
@@ -167,8 +303,8 @@ def build_polyharmonic(spec: DomainSpec) -> DiscreteOperator:
     """
     if spec.l == 1:
         return build_laplacian(spec)
-    return DiscreteOperator(factor=_clamped_factor(spec, spec.l), spec=spec,
-                            order=spec.l)
+    factor, layout = _clamped_factor(spec, spec.l)
+    return DiscreteOperator(factor=factor, spec=spec, order=spec.l, layout=layout)
 
 
 def coordinate_multiply(p: int, u: GridFunction) -> GridFunction:
@@ -210,11 +346,24 @@ def interior_support_region(spec: DomainSpec, margin: int) -> np.ndarray:
     mask = spec.mask_array
     if margin <= 0:
         return mask
-    structure = np.ones((3,) * spec.n, dtype=bool)
-    region = binary_erosion(mask, structure=structure, iterations=margin,
-                            border_value=0)
+    region = _erode(mask, margin)
     region.flags.writeable = False
     return region
+
+
+def _erode(region: np.ndarray, margin: int) -> np.ndarray:
+    """Cells whose 3**n neighbourhood stays inside region, `margin` times over.
+
+    Cells outside the array count as outside. The 3**n box is the product
+    of three-cell segments along the axes, so each step is one pair of
+    shifts per axis.
+    """
+    for _ in range(margin):
+        for axis in range(region.ndim):
+            width = [(1, 1) if d == axis else (0, 0) for d in range(region.ndim)]
+            padded = np.moveaxis(np.pad(region, width), axis, 0)
+            region = np.moveaxis(padded[:-2] & padded[1:-1] & padded[2:], 0, axis)
+    return np.ascontiguousarray(region)
 
 
 def check_support_margin(spec: DomainSpec, u: GridFunction, margin: int) -> None:

@@ -5,8 +5,8 @@ Registry entries:
   * rectangle/box, order 1:          pi**2 * sum (m_d / L_d)**2
   * interval of length L, order 2:   (k_j / L)**4 with cos(k) cosh(k) = 1
 
-The rod constants k_j are found by bracketed root-finding on the bounded
-form cos(k) - sech(k) = 0 near (j + 1/2) pi.
+The rod constants k_j are bisected on the bounded form cos(k) - sech(k) = 0
+near (j + 1/2) pi.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ import math
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .grids import DomainSpec
 
@@ -56,15 +55,30 @@ def box_eigenvalues(extents, count: int) -> np.ndarray:
 
 
 def clamped_rod_constants(count: int) -> np.ndarray:
-    """First `count` positive roots of cos(k) cosh(k) = 1."""
+    """First `count` positive roots of cos(k) cosh(k) = 1.
+
+    Bisection on cos(k) - sech(k), which changes sign within 0.6 of
+    (j + 1/2) pi, until the bracket closes to adjacent floats.
+    """
     if count < 1:
         raise ValueError("count must be >= 1")
     roots = []
     for j in range(1, count + 1):
         center = (j + 0.5) * math.pi
-        f = lambda k: math.cos(k) - 1.0 / math.cosh(k)
-        roots.append(brentq(f, center - 0.6, center + 0.6,
-                            xtol=1e-12, rtol=8.9e-16))
+        lo, hi = center - 0.6, center + 0.6
+        lo_negative = math.cos(lo) - 1.0 / math.cosh(lo) < 0
+        while True:
+            mid = 0.5 * (lo + hi)
+            if mid in (lo, hi):
+                break
+            value = math.cos(mid) - 1.0 / math.cosh(mid)
+            if value == 0.0:
+                break
+            if (value < 0) == lo_negative:
+                lo = mid
+            else:
+                hi = mid
+        roots.append(mid)
     return np.asarray(roots)
 
 

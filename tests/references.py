@@ -1,12 +1,14 @@
-"""References that tests compare polyspec against: operators, and the fuzz
-suites drawn and evaluated one trial at a time."""
+"""References that tests compare polyspec against: operators, a refinement
+study, and the fuzz suites drawn and evaluated one trial at a time."""
 
 import numpy as np
 import scipy.sparse as sp
 
 from polyspec.algebra import ExponentPair, MonotoneTriple
+from polyspec.eigensolve import smallest_eigenpairs
 from polyspec.grids import DomainSpec
-from polyspec.operators import DiscreteOperator
+from polyspec.identities import trace_identity_check
+from polyspec.operators import DiscreteOperator, build_polyharmonic
 
 
 def operator_power(op: DiscreteOperator, l: int) -> DiscreteOperator:
@@ -24,6 +26,31 @@ def operator_power(op: DiscreteOperator, l: int) -> DiscreteOperator:
     for _ in range(l // 2):
         g = g @ lap
     return DiscreteOperator(factor=g, spec=op.spec, order=l)
+
+
+def trace_identity_orders(spec: DomainSpec, k: int, levels: int = 3,
+                          solver_tol: float = 1e-8, seed: int = 0) -> np.ndarray:
+    """Observed convergence orders of the trace deviation under refinement.
+
+    Solves the domain at h, h/2, ..., h/2^(levels-1) and returns
+    log2(d_coarse / d_fine) per refinement step, averaged over eigenpairs
+    and axes.
+    """
+    if levels < 2:
+        raise ValueError("need at least two refinement levels")
+    if spec.mask is not None:
+        raise ValueError("refinement study is defined for unmasked shapes only")
+    deviations = []
+    for level in range(levels):
+        refined = DomainSpec(
+            shape=spec.shape, n=spec.n, extents=spec.extents,
+            h=tuple(v / 2 ** level for v in spec.h), l=spec.l, mask=None)
+        spectrum = smallest_eigenpairs(build_polyharmonic(refined), k,
+                                       tol=solver_tol, seed=seed)
+        rows = trace_identity_check(spectrum, refined)
+        deviations.append(np.mean([row.deviation for row in rows]))
+    deviations = np.asarray(deviations)
+    return np.log2(deviations[:-1] / deviations[1:])
 
 
 def central_difference_matrix(spec: DomainSpec, p: int) -> sp.csr_matrix:

@@ -34,7 +34,7 @@ from polyspec.bounds import (
 from polyspec.eigensolve import smallest_eigenpairs
 from polyspec.grids import DomainSpec
 from polyspec.harness import RunConfig, run
-from polyspec.identities import interpolation_check, trace_identity_orders
+from polyspec.identities import interpolation_check
 from polyspec.operators import (
     build_laplacian,
     build_polyharmonic,
@@ -43,6 +43,7 @@ from polyspec.operators import (
 )
 from polyspec.oracles import box_eigenvalues, clamped_rod_eigenvalues, interval_eigenvalues
 from polyspec.report import load_report
+from references import trace_identity_orders
 
 
 class Budget:

@@ -163,3 +163,17 @@ class TestUsage:
 
     def test_unknown_command_exit_two(self, capsys):
         assert main(["frobnicate"]) == 2
+
+
+class TestImportGraph:
+    def test_cli_import_leaves_out_optimize_and_ndimage(self):
+        # the package needs neither; importing them cost 0.3 s per process
+        src = str(Path(polyspec.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=src)
+        code = ("import sys, polyspec.cli; "
+                "print(sorted(m for m in sys.modules "
+                "if m.split('.')[:2] in (['scipy', 'optimize'], ['scipy', 'ndimage'])))")
+        done = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"

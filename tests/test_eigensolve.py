@@ -1,5 +1,7 @@
 """Eigensolver tests against closed-form and dense oracles."""
 
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -217,3 +219,14 @@ class TestOracles:
         for k in ks:
             assert abs(np.cos(k) * np.cosh(k) - 1.0) < 1e-7 * np.cosh(k)
         assert ks[0] == pytest.approx(4.730040744862704, abs=1e-10)
+
+    def test_rod_constants_match_scipy_root_finder(self):
+        optimize = pytest.importorskip("scipy.optimize")
+        from polyspec.oracles import clamped_rod_constants
+        ks = clamped_rod_constants(59)
+        for j, k in enumerate(ks, start=1):
+            center = (j + 0.5) * math.pi
+            ref = optimize.brentq(lambda x: math.cos(x) - 1.0 / math.cosh(x),
+                                  center - 0.6, center + 0.6,
+                                  xtol=1e-12, rtol=8.9e-16)
+            assert abs(k - ref) <= 3e-14 * ref

@@ -10,7 +10,6 @@ from polyspec.identities import (
     gradient_sum_check,
     interpolation_check,
     trace_identity_check,
-    trace_identity_orders,
 )
 from polyspec.operators import (
     build_laplacian,
@@ -18,6 +17,7 @@ from polyspec.operators import (
     central_difference,
     coordinate_multiply,
 )
+from references import trace_identity_orders
 
 
 def interval(points, l=1):

@@ -7,6 +7,7 @@ from polyspec.eigensolve import smallest_eigenpairs
 from polyspec.grids import DomainSpec, GridError, GridFunction
 from polyspec.operators import (
     SupportMarginError,
+    _erode,
     build_laplacian,
     build_polyharmonic,
     central_difference,
@@ -280,6 +281,27 @@ class TestCommutator:
 
 
 class TestSupportRegion:
+    @pytest.mark.parametrize("shape", [(23,), (9, 12), (6, 7, 8)])
+    def test_erosion_matches_scipy(self, shape):
+        ndimage = pytest.importorskip("scipy.ndimage")
+        rng = np.random.default_rng(len(shape))
+        for _ in range(20):
+            mask = rng.random(shape) < 0.85
+            for margin in range(4):
+                expected = mask if margin == 0 else ndimage.binary_erosion(
+                    mask, structure=np.ones((3,) * len(shape), dtype=bool),
+                    iterations=margin, border_value=0)
+                assert np.array_equal(_erode(mask, margin), expected)
+
+    def test_masked_region_matches_scipy(self):
+        ndimage = pytest.importorskip("scipy.ndimage")
+        spec = lshape(15)
+        for margin in range(1, 4):
+            expected = ndimage.binary_erosion(
+                spec.mask_array, structure=np.ones((3, 3), dtype=bool),
+                iterations=margin, border_value=0)
+            assert np.array_equal(interior_support_region(spec, margin), expected)
+
     def test_erosion_depth(self):
         spec = interval(11)
         region = interior_support_region(spec, 3)
