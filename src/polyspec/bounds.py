@@ -85,7 +85,11 @@ class BoundParams:
 
 @dataclass
 class BoundCheck:
-    """One evaluated inequality: both sides, margin and verdict."""
+    """One evaluated inequality: both sides, margin and verdict.
+
+    A row with a side that is not finite (an overflowed power) is
+    inapplicable: it keeps its values and says so in its notes.
+    """
 
     name: str
     lhs: float
@@ -98,6 +102,10 @@ class BoundCheck:
 
     def __post_init__(self):
         self.margin = self.rhs - self.lhs
+        if self.applicable and not (math.isfinite(self.lhs) and math.isfinite(self.rhs)):
+            self.applicable = False
+            side = "lhs" if not math.isfinite(self.lhs) else "rhs"
+            self.notes = "; ".join(filter(None, [self.notes, f"{side} is not finite (overflow)"]))
         self.holds = bool(self.applicable
                           and self.lhs <= self.rhs + self.rel_tol * abs(self.rhs))
 
@@ -413,7 +421,8 @@ def comparison_table(lam: Sequence[float], p: BoundParams) -> List[BoundCheck]:
     (stored with the constant on the lhs so that holds == lhs <= rhs).
     chen_qian_hook: n^2 k^2 / (4 l (n+2l-2)) <= (sum l_i^(1/l)/(L - l_i))
     * (sum l_i^((l-1)/l)); reduces to hile_protter at l = 1.
-    cheng_ichikawa_mametsuka: identical formula to yang_first_inequality.
+    Cheng, Ichikawa and Mametsuka's inequality is yang_first_inequality's
+    formula, so it has no row of its own.
     """
     arr, k = _validated(lam, p.k)
     head = arr[:k]
@@ -443,12 +452,6 @@ def comparison_table(lam: Sequence[float], p: BoundParams) -> List[BoundCheck]:
             rhs=float(np.sum(head ** (1.0 / p.l) / g))
             * float(np.sum(head ** ((p.l - 1) / p.l))),
             notes="lower-bound form: constant <= product of sums", rel_tol=p.rel_tol))
-
-    cim = yang_first_inequality(lam, p)
-    rows.append(BoundCheck(name=f"cheng_ichikawa_mametsuka(k={k})",
-                           lhs=cim.lhs, rhs=cim.rhs,
-                           notes="same formula as yang_first_inequality",
-                           rel_tol=p.rel_tol))
     return rows
 
 

@@ -4,20 +4,23 @@ One path for every shape and order: seeded ARPACK Lanczos (``eigsh``) on
 the operator x -> A^(-1) x, applied through one sparse LU per block.
 
 Blocks. An unmasked box from ``build_polyharmonic`` or ``build_laplacian``
-carries a ``BoxLayout``, whose reflection-parity blocks G_b = Q_R^T G Q_I
-split G exactly (see ``operators``). When splitting pays, each block is
-factored by the rule below, gets one Lanczos run for k pairs from the
-projection Q_I^T v0 of the seeded start vector, and has its LU freed
-before the next block is factored; a running merge keeps the k smallest
-pairs so far, mapped back as v = Q_I v_b and u = Q_R u_b. The split pays
-through smaller LUs, whose cost their separators set, and costs one
-Lanczos run per block. So it is taken when n >= 2, every block has more
-than k unknowns and the smallest block's separator, l * b^((n-1)/n)
-cells for b unknowns, is at least MIN_BLOCK_SEPARATOR; on 2 cores that
-is where the split stopped losing (about 50^2 for l = 2 squares,
-100^2-130^2 for l = 1 squares, 14^3 for l = 1 cubes). Every other
-operator is one block, G itself. Either way the certificate below is
-formed on the whole G, with the global sigma_1 in its gate.
+carries a ``BoxLayout``, whose reflection-parity blocks G_b, each composed
+as G is from folded 1-D differences, split G exactly (see ``operators``).
+When splitting pays, each block is factored by the rule below, gets one
+Lanczos run for k pairs from its own start vector (``default_rng(seed)``
+of the block's dimension, as for an operator that is one block), and has
+its LU freed before the next block is factored; a running merge keeps the
+k smallest pairs so far, mapped back to the interior cells and to G's
+rows by one reflection per axis (``ParityBlock.columns`` and ``rows``).
+The split pays through smaller LUs, whose cost their separators set, and
+costs one Lanczos run per block. So it is taken when n >= 2, every block
+has more than k unknowns and the smallest block's separator,
+l * b^((n-1)/n) cells for b unknowns, is at least MIN_BLOCK_SEPARATOR; on
+2 cores that is where the split stopped losing (about 50^2 for l = 2
+squares, 100^2-130^2 for l = 1 squares, 14^3 for l = 1 cubes). Every
+other operator is one block, G itself. Either way the certificate below
+is formed on the whole G, from each block's own u, with the global
+sigma_1 in its gate.
 
 * Order l >= 2: the augmented matrix K = [[-I, G], [G^T, 0]] is factored
   and K (u, y) = (0, x) gives y = A^(-1) x and u = G y without ever
@@ -114,14 +117,6 @@ class Spectrum:
             raise ValueError("spectrum has no grid attached")
         return GridFunction(self.vectors[:, i], self.spec)
 
-    def orthonormality_defect(self) -> float:
-        """max |<v_i, v_j> - delta_ij| in the stored normalization."""
-        if self.vectors is None:
-            raise ValueError("eigenvectors were not retained")
-        weight = self.spec.cell_volume if self.spec is not None else 1.0
-        gram = weight * (self.vectors.T @ self.vectors)
-        return float(np.max(np.abs(gram - np.eye(self.k))))
-
 
 def _norm_bound(g: sp.csr_matrix) -> float:
     """Upper bound sqrt(||G||_1 ||G||_inf) on the spectral norm of G."""
@@ -153,7 +148,7 @@ def _factored_solver(g: sp.csr_matrix, order: int):
 
 
 def _blocks(op: DiscreteOperator, k: int):
-    """(G_b, Q_I, Q_R) per parity block when splitting pays, else (G, None, None).
+    """The ParityBlocks of op when splitting pays, else [None]: op itself.
 
     The blocks are built one at a time, as the caller asks for them.
     """
@@ -164,10 +159,8 @@ def _blocks(op: DiscreteOperator, k: int):
         smallest = min(layout.block_dimension(p) for p in parities)
         # separator order * smallest^((n-1)/n) against the threshold, in integers
         if smallest > k and op.order ** n * smallest ** (n - 1) >= MIN_BLOCK_SEPARATOR ** n:
-            for parity in parities:
-                yield layout.block(op.factor, parity)
-            return
-    yield op.factor, None, None
+            return (layout.block(parity) for parity in parities)
+    return [None]
 
 
 def _block_pairs(g: sp.csr_matrix, order: int, k: int, v0: np.ndarray):
@@ -198,7 +191,8 @@ def smallest_eigenpairs(op: DiscreteOperator, k: int, tol: float = 1e-8,
     """k smallest eigenpairs of A = G^T G, each with a certified radius.
 
     Deterministic for a fixed seed: ARPACK gets a seeded starting vector
-    (its projection onto each parity block when the operator splits).
+    (each parity block draws its own from the same seed when the operator
+    splits).
     Lanczos cannot return every pair, so k must stay below the operator
     dimension. Spectrum.residuals holds each pair's relative radius and
     solver_tol the larger of tol and the largest radius.
@@ -210,10 +204,10 @@ def smallest_eigenpairs(op: DiscreteOperator, k: int, tol: float = 1e-8,
         raise PairCountError(f"k={k} eigenpairs need an operator dimension "
                              f"above {k}, got {dim}")
 
-    v0 = np.random.default_rng(seed).standard_normal(dim)
     lam = v = u = None
-    for g_b, columns, rows in _blocks(op, k):
-        start = v0 if columns is None else columns.T @ v0
+    for block in _blocks(op, k):
+        g_b = op.factor if block is None else block.factor
+        start = np.random.default_rng(seed).standard_normal(g_b.shape[1])
         lam_b, v_b, lift = _block_pairs(g_b, op.order, k, start)
         if lam is not None:
             # running merge with the k smallest pairs so far, earlier blocks
@@ -223,10 +217,10 @@ def smallest_eigenpairs(op: DiscreteOperator, k: int, tol: float = 1e-8,
             v_b = v_b[:, best[fresh] - k]
         u_b = lift(v_b)
         del lift  # frees the block's LU
-        if columns is not None:
-            v_b = columns @ v_b
+        if block is not None:
+            v_b = block.columns(v_b)
             v_b /= np.linalg.norm(v_b, axis=0)
-            u_b = rows @ u_b
+            u_b = block.rows(u_b)
         if lam is None:
             lam, v, u = lam_b, v_b, u_b
         else:

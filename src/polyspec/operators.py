@@ -29,17 +29,18 @@ Both agree on functions supported at least l+1 cells away from the
 boundary, which is what makes the commutator identity exact.
 
 Reflection-parity blocks. Without a mask, the padded box keeps the
-reflection j <-> m-1-j of every axis, and so does the stencil: G maps the
-cells of one parity pattern b (even or odd on each axis) to the rows of one
-parity pattern. With orthonormal bases Q_I,b of the interior cells and
-Q_R,b of G's rows, each a Kronecker product of 1-D even/odd bases, G splits
-exactly into the 2^n blocks G_b = Q_R,b^T G Q_I,b (Bossavit, Comput.
-Methods Appl. Mech. Eng. 56, 1986). G's rows are the padded cells for even
-l. For odd l they are the stacked per-axis edges, and the differenced axis
-takes the opposite parity, because D maps even cells to odd edges. Only
-``build_laplacian`` and ``build_polyharmonic`` know that row layout; they
-attach it to unmasked operators as a ``BoxLayout``, which builds one block
-at a time.
+reflection j <-> m-1-j of every axis, and so does the stencil: G splits
+exactly into 2^n blocks G_b, one per parity pattern b (even or odd on each
+axis; Bossavit, Comput. Methods Appl. Mech. Eng. 56, 1986). Each G_b is
+composed as G is (``_compose``), with every 1-D difference folded onto the
+orthonormal even/odd bases (e_j +- e_(m-1-j)) / sqrt(2), plus the centre
+of odd-length even vectors. D maps even cells to odd edges, so the folded
+D is the top-left block of D, from parity b to the opposite one, with its
+last entry times sqrt(2) when exactly one of the two bases has a centre;
+the injection folds to itself on the folded sizes. Block vectors map back
+by one reflection per axis (``_unfold``). Only ``build_laplacian`` and
+``build_polyharmonic`` know G's row layout; they attach it to unmasked
+operators as a ``BoxLayout``, which builds one block at a time.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
@@ -60,67 +61,74 @@ class SupportMarginError(ValueError):
     """Support reaches too close to the boundary for an exact identity."""
 
 
-def _forward_difference(shape, h) -> sp.csr_matrix:
-    """Stacked per-axis forward differences with zero values outside the box.
-
-    D^T D is the (2n+1)-point negative Laplacian with Dirichlet zero
-    boundary on the box. Block d has one row per edge of axis d: shape with
-    m_d + 1 in place of m_d.
+def _difference(m: int, h: float, odd: Optional[bool] = None) -> sp.spmatrix:
+    """1-D forward difference from m cells to their m + 1 edges, zero outside;
+    with a parity, folded onto the cells of that parity (see the module).
     """
+    d = sp.diags([np.ones(m), -np.ones(m)], [0, -1], shape=(m + 1, m))
+    if odd is not None:
+        d = sp.csr_matrix(d)[:(m + 1 + odd) // 2, :(m + (not odd)) // 2]
+        if m % 2 != odd:
+            d.data[-1] *= np.sqrt(2.0)  # the fold entry [-1, -1]
+    return d / h
+
+
+def _compose(diffs, interior, pad: int, l: int, cells=None) -> tuple:
+    """(G, kept): G = L^(l/2) E for even l, D L^((l-1)/2) E for odd l.
+
+    diffs[d] is the 1-D difference of axis d of the box; D stacks them per
+    axis (block d has one row per edge of axis d) and L = D^T D. E injects
+    the interior box, `pad` cells in from each side, or the given cells of
+    it. Rows of G that are zero are dropped; kept lists the others.
+    """
+    box = [diff.shape[1] for diff in diffs]
     blocks = []
-    for d, (m, hd) in enumerate(zip(shape, h)):
-        mats = [sp.identity(p, format="csr") for p in shape]
-        mats[d] = sp.diags([np.ones(m), -np.ones(m)], [0, -1], shape=(m + 1, m)) / hd
+    for axis, diff in enumerate(diffs):
+        mats = [sp.identity(p, format="csr") for p in box]
+        mats[axis] = diff
         out = mats[0]
         for mat in mats[1:]:
             out = sp.kron(out, mat, format="csr")
         blocks.append(out)
-    return sp.vstack(blocks, format="csr")
+    d = sp.vstack(blocks, format="csr")
+    box_index = np.arange(math.prod(box)).reshape(box)
+    inside = box_index[tuple(slice(pad, pad + m) for m in interior)].ravel()
+    if cells is not None:
+        inside = inside[cells]
+    g = sp.csr_matrix((np.ones(inside.size), (inside, np.arange(inside.size))),
+                      shape=(box_index.size, inside.size))
+    for _ in range(l // 2):
+        g = d.T @ (d @ g)
+    if l % 2:
+        g = d @ g
+    g = sp.csr_matrix(g)
+    g.eliminate_zeros()
+    kept = np.flatnonzero(np.diff(g.indptr) > 0)
+    g = sp.csr_matrix(g[kept])
+    g.sum_duplicates()  # canonical form, so later reads never sort in place
+    return g, kept
 
 
-def _parity_triplets(sizes, parity) -> tuple:
-    """(rows, cols, vals, dim) of the orthonormal basis of the box vectors
-    with one reflection parity per axis.
+def _folded(sizes, parity) -> list:
+    """Points per axis of the folded box of one parity pattern."""
+    return [(m + (not odd)) // 2 for m, odd in zip(sizes, parity)]
 
-    On an axis of m points, the reflection j <-> m-1-j keeps the even
-    vectors and negates the odd ones. Column j < m // 2 of the 1-D basis
-    is (e_j +- e_(m-1-j)) / sqrt(2); for odd m the centre point is the last
-    even column. The box basis is the Kronecker product of the 1-D bases
-    over the axes, axis 0 major.
+
+def _unfold(y: np.ndarray, sizes, parity) -> np.ndarray:
+    """Columns of y on the folded box of one parity pattern, back on the box.
+
+    On an axis of m points a folded vector x gives
+    [x[:m//2], centre, +-x[:m//2][::-1]] / sqrt(2), minus for odd parity;
+    the centre is x[m//2:] unscaled for even parity and zero for odd.
     """
-    rows = cols = np.zeros(1, dtype=np.intp)
-    vals = np.ones(1)
-    dim = 1
-    scale = np.sqrt(0.5)
-    for m, odd in zip(sizes, parity):
-        half = m // 2
-        axis_dim = (m + (not odd)) // 2
-        pairs = np.arange(half)
-        r = [pairs, m - 1 - pairs]
-        c = [pairs, pairs]
-        v = [np.full(half, scale), np.full(half, -scale if odd else scale)]
-        if axis_dim > half:  # the centre of an odd axis, even parity
-            r.append([half])
-            c.append([half])
-            v.append([1.0])
-        rows = (rows[:, None] * m + np.concatenate(r)).ravel()
-        cols = (cols[:, None] * axis_dim + np.concatenate(c)).ravel()
-        vals = (vals[:, None] * np.concatenate(v)).ravel()
-        dim *= axis_dim
-    return rows, cols, vals, dim
-
-
-class ParityBlock(NamedTuple):
-    """One block G_b = Q_R,b^T G Q_I,b, with the bases that map it back.
-
-    A block vector v_b stands for columns @ v_b on the interior cells, a
-    block row vector u_b for rows @ u_b on G's rows. rows keeps only the
-    basis vectors whose row of G_b is not zero.
-    """
-
-    factor: sp.csr_matrix
-    columns: sp.spmatrix
-    rows: sp.spmatrix
+    y = y.reshape(_folded(sizes, parity) + [y.shape[-1]])
+    for axis, (m, odd) in enumerate(zip(sizes, parity)):
+        y = np.moveaxis(y, axis, 0)
+        half = np.sqrt(0.5) * y[:m // 2]
+        centre = np.zeros((m % 2,) + y.shape[1:]) if odd else y[m // 2:]
+        y = np.concatenate([half, centre, -half[::-1] if odd else half[::-1]])
+        y = np.moveaxis(y, 0, axis)
+    return y.reshape(math.prod(sizes), y.shape[-1])
 
 
 @dataclass(frozen=True, eq=False)
@@ -128,14 +136,14 @@ class BoxLayout:
     """Where the rows and columns of an unmasked box operator's G sit.
 
     Columns are the interior cells, C-ordered. Rows are the cells of the
-    box padded by `pad` layers (edges False, even l) or the stacked
-    per-axis edges of that box (edges True, odd l); G keeps the rows
-    `kept` of that full layout.
+    box padded by l - 1 layers (even l) or the stacked per-axis edges of
+    that box (odd l); G keeps the rows `kept` of that full layout. The
+    spacing h and the order l are what a parity block is composed from.
     """
 
     interior: tuple
-    pad: int
-    edges: bool
+    h: tuple
+    order: int
     kept: np.ndarray
 
     def parities(self) -> list:
@@ -144,45 +152,48 @@ class BoxLayout:
 
     def block_dimension(self, parity) -> int:
         """Unknowns of the block of one parity pattern."""
-        return math.prod((m + (not odd)) // 2 for m, odd in zip(self.interior, parity))
+        return math.prod(_folded(self.interior, parity))
 
-    def bases(self, parity) -> tuple:
-        """(Q_I, Q_R^T) of one parity pattern, with Q_R on G's kept rows."""
-        r, c, v, dim = _parity_triplets(self.interior, parity)
-        columns = sp.csr_matrix((v, (r, c)), shape=(math.prod(self.interior), dim))
-        padded = [m + 2 * self.pad for m in self.interior]
-        if not self.edges:
-            r, c, v, dim = _parity_triplets(padded, parity)
-            total = math.prod(padded)
-        else:
-            # block d of D maps cells to the edges of axis d: one more point
-            # on that axis, and the opposite parity there
-            parts, total, dim = [], 0, 0
-            for d in range(len(padded)):
-                sizes = [m + (e == d) for e, m in enumerate(padded)]
-                r, c, v, part_dim = _parity_triplets(
-                    sizes, [odd != (e == d) for e, odd in enumerate(parity)])
-                parts.append((r + total, c + dim, v))
-                total += math.prod(sizes)
-                dim += part_dim
-            r, c, v = (np.concatenate(x) for x in zip(*parts))
-        position = np.full(total, -1)
-        position[self.kept] = np.arange(self.kept.size)
-        r = position[r]
-        inside = r >= 0  # a basis vector's rows are all kept or all dropped
-        rows_t = sp.csr_matrix((v[inside], (c[inside], r[inside])),
-                               shape=(dim, self.kept.size))
-        return columns, rows_t
+    def block(self, parity) -> "ParityBlock":
+        """The block of one parity pattern, composed as G is from folded differences."""
+        pad = self.order - 1
+        diffs = [_difference(m + 2 * pad, hd, odd)
+                 for m, hd, odd in zip(self.interior, self.h, parity)]
+        g, kept = _compose(diffs, _folded(self.interior, parity), pad, self.order)
+        return ParityBlock(g, self, tuple(parity), kept)
 
-    def block(self, factor: sp.csr_matrix, parity) -> ParityBlock:
-        """G_b = Q_R^T G Q_I for one parity pattern, its zero rows dropped."""
-        columns, rows_t = self.bases(parity)
-        g = sp.csr_matrix(rows_t @ (factor @ columns))
-        g.eliminate_zeros()
-        nonzero = np.diff(g.indptr) > 0
-        g = sp.csr_matrix(g[nonzero])
-        g.sum_duplicates()
-        return ParityBlock(g, columns, sp.csr_matrix(rows_t[nonzero]).T)
+
+@dataclass(frozen=True, eq=False)
+class ParityBlock:
+    """One block G_b of G. Block vectors v_b and u_b stand for columns(v_b)
+    on the interior cells and rows(u_b) on G's rows; G_b keeps the rows
+    `kept` of its folded row layout, as G does of its own.
+    """
+
+    factor: sp.csr_matrix
+    layout: BoxLayout
+    parity: tuple
+    kept: np.ndarray
+
+    def columns(self, v: np.ndarray) -> np.ndarray:
+        return _unfold(v, self.layout.interior, self.parity)
+
+    def rows(self, u: np.ndarray) -> np.ndarray:
+        layout = self.layout
+        padded = [m + 2 * (layout.order - 1) for m in layout.interior]
+        parts = [(padded, self.parity)]
+        if layout.order % 2:
+            # D maps the cells of axis d to its edges: one more point on that
+            # axis, and the opposite parity there
+            parts = [([m + (e == d) for e, m in enumerate(padded)],
+                      [odd != (e == d) for e, odd in enumerate(self.parity)])
+                     for d in range(len(padded))]
+        dims = [math.prod(_folded(*part)) for part in parts]
+        folded = np.zeros((sum(dims), u.shape[1]))
+        folded[self.kept] = u
+        pieces = np.split(folded, np.cumsum(dims)[:-1])
+        return np.concatenate([_unfold(y, *part)
+                               for y, part in zip(pieces, parts)])[layout.kept]
 
 
 @dataclass
@@ -190,11 +201,11 @@ class DiscreteOperator:
     """Symmetric positive semidefinite operator A = G^T G on interior values.
 
     Only the sparse factor G is stored: apply(v) is G^T (G v), and matrix()
-    assembles G^T G for tests and for factoring order-1 operators.
-    order is the differential order l the factor represents; the
-    eigensolver reads it to pick its factorization. layout is set by the
-    builders on unmasked boxes, whose G they know splits into parity
-    blocks; an operator built any other way has none, spec or not.
+    assembles G^T G for tests. order is the differential order l the factor
+    represents; the eigensolver reads it to pick its factorization. layout
+    is set by build_polyharmonic and build_laplacian on unmasked boxes,
+    whose G splits into parity blocks; an operator built any other way has
+    none, spec or not.
     """
 
     factor: sp.spmatrix
@@ -227,26 +238,12 @@ def _clamped_factor(spec: DomainSpec, l: int) -> tuple:
     """
     pad = l - 1
     interior = spec.interior_shape
-    padded = tuple(m + 2 * pad for m in interior)
-    d = _forward_difference(padded, spec.h)
-    box_index = np.arange(int(np.prod(padded))).reshape(padded)
-    cells = box_index[tuple(slice(pad, pad + m) for m in interior)].ravel()
-    cells = cells[spec.flat_indices()]
-    g = sp.csr_matrix((np.ones(cells.size), (cells, np.arange(cells.size))),
-                      shape=(box_index.size, cells.size))
-    for _ in range(l // 2):
-        g = d.T @ (d @ g)
-    if l % 2:
-        g = d @ g
-    g = sp.csr_matrix(g)
-    g.eliminate_zeros()
-    kept = np.flatnonzero(np.diff(g.indptr) > 0)
-    g = sp.csr_matrix(g[kept])
-    g.sum_duplicates()  # canonical form, so later reads never sort in place
+    diffs = [_difference(m + 2 * pad, hd) for m, hd in zip(interior, spec.h)]
+    g, kept = _compose(diffs, interior, pad, l, spec.flat_indices())
     layout = None
     if spec.mask is None:
         kept.flags.writeable = False
-        layout = BoxLayout(interior, pad, bool(l % 2), kept)
+        layout = BoxLayout(interior, tuple(spec.h), l, kept)
     return g, layout
 
 

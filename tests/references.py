@@ -1,14 +1,15 @@
-"""References that tests compare polyspec against: operators, a refinement
-study, and the fuzz suites drawn and evaluated one trial at a time."""
+"""References that tests compare polyspec against: operators, reflection-
+parity bases, a refinement study, the fuzz suites drawn and evaluated one
+trial at a time, and the spectra's orthonormality."""
 
 import numpy as np
 import scipy.sparse as sp
 
 from polyspec.algebra import ExponentPair, MonotoneTriple
-from polyspec.eigensolve import smallest_eigenpairs
+from polyspec.eigensolve import Spectrum, smallest_eigenpairs
 from polyspec.grids import DomainSpec
 from polyspec.identities import trace_identity_check
-from polyspec.operators import DiscreteOperator, build_polyharmonic
+from polyspec.operators import BoxLayout, DiscreteOperator, build_polyharmonic
 
 
 def operator_power(op: DiscreteOperator, l: int) -> DiscreteOperator:
@@ -26,6 +27,59 @@ def operator_power(op: DiscreteOperator, l: int) -> DiscreteOperator:
     for _ in range(l // 2):
         g = g @ lap
     return DiscreteOperator(factor=g, spec=op.spec, order=l)
+
+
+def parity_basis(sizes, parity) -> sp.csr_matrix:
+    """Orthonormal basis of the box vectors with one reflection parity per axis.
+
+    The Kronecker product over the axes, axis 0 major, of the 1-D bases: on
+    an axis of m points column j < m // 2 is (e_j +- e_(m-1-j)) / sqrt(2),
+    minus for odd parity, and for odd m and even parity the last column is
+    the centre point.
+    """
+    q = sp.identity(1, format="csr")
+    for m, odd in zip(sizes, parity):
+        half = m // 2
+        pairs = np.arange(half)
+        rows, cols = [pairs, m - 1 - pairs], [pairs, pairs]
+        vals = [np.full(half, np.sqrt(0.5)), np.full(half, np.sqrt(0.5) * (-1) ** odd)]
+        if m % 2 and not odd:
+            rows.append([half])
+            cols.append([half])
+            vals.append([1.0])
+        axis = sp.csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                             shape=(m, (m + (not odd)) // 2))
+        q = sp.kron(q, axis, format="csr")
+    return q
+
+
+def parity_bases(layout: BoxLayout, parity) -> tuple:
+    """(Q_I, Q_R) of one parity pattern, Q_R on G's kept rows.
+
+    G's rows are the padded box for even l. For odd l they are the stacked
+    per-axis edges: part d, the edges of axis d, has one more point and the
+    opposite parity on axis d, because D maps even cells to odd edges.
+    """
+    columns = parity_basis(layout.interior, parity)
+    padded = [m + 2 * (layout.order - 1) for m in layout.interior]
+    if layout.order % 2 == 0:
+        rows = parity_basis(padded, parity)
+    else:
+        rows = sp.block_diag([
+            parity_basis([m + (e == d) for e, m in enumerate(padded)],
+                         [odd != (e == d) for e, odd in enumerate(parity)])
+            for d in range(len(padded))], format="csr")
+    return columns, sp.csr_matrix(rows[layout.kept])
+
+
+def orthonormality_defect(spectrum: Spectrum) -> float:
+    """max |<v_i, v_j> - delta_ij| of a spectrum's vectors in their stored
+    normalization (cell-volume weighted when a grid is attached)."""
+    if spectrum.vectors is None:
+        raise ValueError("eigenvectors were not retained")
+    weight = spectrum.spec.cell_volume if spectrum.spec is not None else 1.0
+    gram = weight * (spectrum.vectors.T @ spectrum.vectors)
+    return float(np.max(np.abs(gram - np.eye(spectrum.k))))
 
 
 def trace_identity_orders(spec: DomainSpec, k: int, levels: int = 3,

@@ -198,8 +198,7 @@ class TestRun:
             + [r["name"] for r in report.oracle_rows]
         for check in KNOWN_CHECKS:
             if check == "comparison":
-                prefixes = ("hile_protter", "chen_qian_hook",
-                            "cheng_ichikawa_mametsuka")
+                prefixes = ("hile_protter", "chen_qian_hook")
             else:
                 prefixes = (check.replace("_cases", "_case"),)
             assert any(name.startswith(p) for name in row_names for p in prefixes), check

@@ -14,7 +14,7 @@ from polyspec.operators import (
     build_laplacian,
     build_polyharmonic,
 )
-from references import operator_power
+from references import operator_power, orthonormality_defect, parity_bases
 
 # just above the split threshold: the smallest block's separator
 # order * unknowns^((n-1)/n) is at least MIN_BLOCK_SEPARATOR = 48
@@ -24,9 +24,14 @@ SPLIT_CASES = [
     ("rectangle", (49, 51), 2),      # odd sizes: centre cells on both axes
     ("rectangle", (47, 49), 3),      # odd l: edge rows with flipped parity
     ("box", (14, 15, 16), 1),
+    ("rectangle", (25, 26), 4),      # 12 x 13 blocks
+    ("rectangle", (21, 21), 5),      # odd l on odd sizes: 10 x 10 blocks
+    ("box", (10, 11, 11), 2),        # 5 x 5 x 5 blocks
+    ("box", (9, 9, 9), 3),           # 4 x 4 x 4 blocks, exactly at the threshold
 ]
 SPLIT_IDS = ["square-96-l1", "plate-48-l2", "rect-49x51-l2", "rect-47x49-l3",
-             "box-14x15x16-l1"]
+             "box-14x15x16-l1", "rect-25x26-l4", "square-21-l5", "box-10x11x11-l2",
+             "cube-9-l3"]
 
 
 def box_spec(shape, points, l, mask=None):
@@ -44,15 +49,15 @@ def block_count(monkeypatch):
     calls = []
     original = BoxLayout.block
 
-    def counting(self, factor, parity):
+    def counting(self, parity):
         calls.append(parity)
-        return original(self, factor, parity)
+        return original(self, parity)
 
     monkeypatch.setattr(BoxLayout, "block", counting)
     return calls
 
 
-def orthonormality_defect(q):
+def basis_defect(q):
     return abs(q.T @ q - sp.identity(q.shape[1])).max()
 
 
@@ -75,28 +80,37 @@ def parities_of(vector, shape):
 class TestBases:
     @pytest.mark.parametrize("shape,points,l", SPLIT_CASES, ids=SPLIT_IDS)
     def test_bases_orthonormal_and_blocks_exact(self, shape, points, l):
+        # the folded blocks against Q_R^T G Q_I from the Kronecker bases
         op = build_polyharmonic(box_spec(shape, points, l))
         layout = op.layout
         g = op.factor
         parities = layout.parities()
         assert len(parities) == 2 ** len(points)
-        bases = {p: layout.bases(p) for p in parities}
+        bases = {p: parity_bases(layout, p) for p in parities}
         # the column bases together are one orthogonal matrix
         q_i = sp.hstack([bases[p][0] for p in parities], format="csr")
         assert q_i.shape == (op.dimension,) * 2
-        assert orthonormality_defect(q_i) < 1e-14
+        assert basis_defect(q_i) < 1e-14
         scale = abs(g).max()
+        rng = np.random.default_rng(0)
         frobenius = 0.0
         for b in parities:
-            columns, rows_t = bases[b]
-            block = layout.block(g, b)
-            assert orthonormality_defect(block.rows) < 1e-14
-            assert (block.columns != columns).nnz == 0
-            assert abs(block.rows @ block.factor - g @ columns).max() < 1e-12 * scale
+            columns, rows = bases[b]
+            block = layout.block(b)
+            reference = sp.csr_matrix(rows.T @ (g @ columns))
+            assert abs(reference[block.kept] - block.factor).max() <= 1e-15 * scale
+            dropped = np.ones(reference.shape[0], dtype=bool)
+            dropped[block.kept] = False
+            assert abs(reference[dropped]).sum() <= 1e-15 * scale
+            assert basis_defect(rows[:, block.kept]) < 1e-14
+            v = rng.standard_normal((block.factor.shape[1], 3))
+            assert abs(block.columns(v) - columns @ v).max() <= 1e-15 * abs(v).max()
+            u = rng.standard_normal((block.factor.shape[0], 3))
+            assert abs(block.rows(u) - rows[:, block.kept] @ u).max() <= 1e-15 * abs(u).max()
             frobenius += sparse_norm(block.factor) ** 2
             for c in parities:
                 if c != b:
-                    coupling = bases[c][1] @ g @ columns
+                    coupling = bases[c][1].T @ g @ columns
                     assert abs(coupling).max() <= 1e-13 * scale, (b, c)
         # the blocks hold all of G
         assert frobenius == pytest.approx(sparse_norm(g) ** 2, rel=1e-13)
@@ -120,14 +134,17 @@ class TestSplitSolve:
     @pytest.mark.parametrize("shape,points,l", SPLIT_CASES, ids=SPLIT_IDS)
     def test_matches_one_block_within_radii(self, shape, points, l, block_count):
         op = build_polyharmonic(box_spec(shape, points, l))
-        split = smallest_eigenpairs(op, 6, seed=2)
+        # at l = 5 the rounding of the 21^2 solve reaches 6e-8 on one block
+        # and 2e-8 split, above the default 1e-8 and its floor gate
+        tol = 1e-6 if l == 5 else 1e-8
+        split = smallest_eigenpairs(op, 6, tol=tol, seed=2)
         assert len(block_count) == 2 ** len(points)
-        whole = smallest_eigenpairs(one_block(op), 6, seed=2)
+        whole = smallest_eigenpairs(one_block(op), 6, tol=tol, seed=2)
         assert len(block_count) == 2 ** len(points)
         allowed = split.eigenvalues * split.residuals + whole.eigenvalues * whole.residuals
         assert np.all(np.abs(split.eigenvalues - whole.eigenvalues) <= allowed)
         assert np.all(split.residuals <= split.solver_tol)
-        assert split.orthonormality_defect() < 1e-10
+        assert orthonormality_defect(split) < 1e-10
         for i in range(6):
             assert 0 not in parities_of(split.vectors[:, i], points), i
 
