@@ -5,6 +5,12 @@ dimension n and reports both sides of one inequality. The shared constant
 is c0 = 2*sqrt(l*(n + 2l - 2))/n with c1 = c0**2. BoundParams.rel_tol is
 the relative slack every row allows its right side.
 
+A spectrum is validated once, into a GapList: lambda_1..lambda_{k+1} must
+be finite, positive and nondecreasing, or ValueError is raised. The
+GapList holds what the rows share (the gaps, their zero mask and note,
+the fractional weights raised once per order), and every evaluator takes
+one in place of a plain list, so the rows of one spectrum read one object.
+
 Zero spectral gaps are handled by a fixed policy: gap terms with a
 nonnegative exponent contribute zero, and any negative gap exponent makes
 the instance inapplicable (signalled by ZeroGapError). Gaps below a small
@@ -12,20 +18,20 @@ relative floor count as zero, which also flags repeated eigenvalues from
 numerical spectra.
 
 The two-exponent forms (yang_type_general, yang_type_simplified) also
-evaluate a whole sweep of (alpha, beta) pairs in one call. The list is
-validated and its gaps computed once; each distinct exponent among alpha,
-beta and 2*alpha - beta - 1 is raised once into one table of gap powers
-(scalar powers, exactly as the one-pair call raises them), and each
-pair's sums are row sums of that table, so a sweep row equals the
-one-pair row bit for bit. The zero-gap policy applies per exponent: a
-negative exponent that meets a zero gap makes only the pairs using it
-inapplicable. The one-pair call is the same code run on one pair.
+evaluate a whole sweep of (alpha, beta) pairs in one call. Each distinct
+exponent among alpha, beta and 2*alpha - beta - 1 is raised once into one
+table of gap powers (scalar powers, exactly as the one-pair call raises
+them), and each pair's sums are row sums of that table, so a sweep row
+equals the one-pair row bit for bit. The zero-gap policy applies per
+exponent: a negative exponent that meets a zero gap makes only the pairs
+using it inapplicable. The displayed cases and the quadratic form keep
+formulas of their own, as independent cross-checks of the general form.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import List, Optional, Sequence, Union
 
 import numpy as np
@@ -79,8 +85,7 @@ class BoundParams:
         return 4.0 * self.l * (self.n + 2 * self.l - 2) / self.n ** 2
 
     def with_exponents(self, alpha: float, beta: float) -> "BoundParams":
-        return BoundParams(l=self.l, n=self.n, alpha=alpha, beta=beta, k=self.k,
-                           rel_tol=self.rel_tol)
+        return replace(self, alpha=alpha, beta=beta)
 
 
 @dataclass
@@ -111,10 +116,8 @@ class BoundCheck:
 
     @classmethod
     def inapplicable(cls, name: str, reason: str) -> "BoundCheck":
-        check = cls(name=name, lhs=float("nan"), rhs=float("nan"),
-                    applicable=False, notes=reason)
-        check.holds = False
-        return check
+        return cls(name=name, lhs=float("nan"), rhs=float("nan"),
+                   applicable=False, notes=reason)
 
     def to_dict(self) -> dict:
         def _num(x):
@@ -132,77 +135,96 @@ class BoundCheck:
         }
 
 
-def _validated(lam: Sequence[float], k: Optional[int]) -> tuple:
-    arr = np.asarray(lam, dtype=float)
-    if arr.ndim != 1 or arr.size < 2:
-        raise ValueError("need a one-dimensional spectrum with at least two entries")
-    if k is None:
-        k = arr.size - 1
-    if k < 1:
-        raise ValueError("truncation index k must be >= 1")
-    if arr.size < k + 1:
-        raise ValueError(f"need at least k+1={k + 1} eigenvalues, got {arr.size}")
-    if arr[0] <= 0:
-        raise ValueError("eigenvalues must be positive")
-    if np.any(np.diff(arr[:k + 1]) < -1e-9 * arr[k]):
-        raise ValueError("eigenvalues must be nondecreasing")
-    return arr, k
+class GapList:
+    """One spectrum validated and cut at k: what every row of it reads.
+
+    head is lambda_1..lambda_k; gaps are lambda_{k+1} - lambda_i, those
+    under the zero floor set to 0 and marked in zero; note is the zero-gap
+    note the gap rows carry. The arrays are read, never written.
+    """
+
+    def __init__(self, lam: Sequence[float], k: Optional[int] = None):
+        values = np.asarray(lam, dtype=float)
+        if values.ndim != 1 or values.size < 2:
+            raise ValueError("need a one-dimensional spectrum with at least two entries")
+        if k is None:
+            k = values.size - 1
+        if k < 1:
+            raise ValueError("truncation index k must be >= 1")
+        if values.size < k + 1:
+            raise ValueError(f"need at least k+1={k + 1} eigenvalues, got {values.size}")
+        if not np.isfinite(values[:k + 1]).all():
+            raise ValueError("eigenvalues must be finite")
+        if values[0] <= 0:
+            raise ValueError("eigenvalues must be positive")
+        if np.any(np.diff(values[:k + 1]) < -1e-9 * values[k]):
+            raise ValueError("eigenvalues must be nondecreasing")
+        self.values, self.k = values, k
+        self.head = values[:k]
+        g = values[k] - self.head
+        self.zero = g <= GAP_REL_FLOOR * values[k]
+        self.has_zero = bool(self.zero.any())
+        self.gaps = np.where(self.zero, 0.0, g)
+        self.note = ""
+        if self.has_zero:
+            idx = ", ".join(str(i + 1) for i in np.nonzero(self.zero)[0])
+            self.note = f"repeated eigenvalues: zero-gap terms dropped at i={idx}"
+        self._weights = {}
+
+    @classmethod
+    def of(cls, lam: "Spectrum", k: Optional[int]) -> "GapList":
+        """lam itself when it is a GapList cut at k, else a new GapList.
+
+        k None means all but the last value, as in the constructor.
+        """
+        if not isinstance(lam, GapList):
+            return cls(lam, k)
+        if (lam.values.size - 1 if k is None else k) != lam.k:
+            raise ValueError(f"spectrum was cut at k={lam.k}, not at k={k}")
+        return lam
+
+    def weights(self, l: int) -> tuple:
+        """(lambda_i^((l-1)/l), lambda_i^(1/l)) for i <= k, raised once per order."""
+        if l not in self._weights:
+            self._weights[l] = (self.head ** ((l - 1) / l), self.head ** (1.0 / l))
+        return self._weights[l]
+
+    def gap_pow(self, e: float) -> np.ndarray:
+        """Gap powers under the zero-contribution policy."""
+        if not self.has_zero:
+            return self.gaps ** e
+        if e < 0:
+            raise ZeroGapError(f"zero gap with negative exponent {e}: strict gap required")
+        out = np.zeros_like(self.gaps)
+        out[~self.zero] = self.gaps[~self.zero] ** e
+        return out
 
 
-def _gaps(arr: np.ndarray, k: int) -> tuple:
-    """Gaps lambda_{k+1} - lambda_i for i <= k plus the zero-gap mask."""
-    g = arr[k] - arr[:k]
-    zero = g <= GAP_REL_FLOOR * arr[k]
-    g = np.where(zero, 0.0, g)
-    return g, zero
+Spectrum = Union[Sequence[float], GapList]
 
 
-def _gap_pow(g: np.ndarray, zero: np.ndarray, e: float) -> np.ndarray:
-    """Gap powers under the zero-contribution policy."""
-    if e < 0 and zero.any():
-        raise ZeroGapError(
-            f"zero gap with negative exponent {e}: strict gap required")
-    out = np.zeros_like(g)
-    nz = ~zero
-    out[nz] = g[nz] ** e
-    return out
-
-
-def has_zero_gap(lam: Sequence[float], k: Optional[int] = None) -> bool:
+def has_zero_gap(lam: Spectrum, k: Optional[int] = None) -> bool:
     """True when some gap lambda_{k+1} - lambda_i falls below the zero floor."""
-    arr, k = _validated(lam, k)
-    _, zero = _gaps(arr, k)
-    return bool(zero.any())
-
-
-def _zero_gap_note(zero: np.ndarray) -> str:
-    if not zero.any():
-        return ""
-    idx = ", ".join(str(i + 1) for i in np.nonzero(zero)[0])
-    return f"repeated eigenvalues: zero-gap terms dropped at i={idx}"
+    return GapList.of(lam, k).has_zero
 
 
 Pairs = Optional[Sequence[tuple]]
 PairRow = Union[BoundCheck, ZeroGapError, InadmissibleExponents]
 
 
-def _two_exponent_rows(lam: Sequence[float], p: BoundParams, pairs: Pairs,
-                       form: str, weights):
+def _two_exponent_rows(t: GapList, p: BoundParams, pairs: Pairs,
+                       form: str, weights: tuple):
     """Rows of a two-exponent form, one per (alpha, beta), from one gap-power table.
 
     The form's lhs is sum (L-l_i)^alpha; its right side is
     c0 * sqrt(sum (L-l_i)^beta w1_i) * sqrt(sum (L-l_i)^(2a-b-1) w2_i) with
-    (w1, w2) = weights(head, l), a weight None meaning unweighted.
+    (w1, w2) = weights, a weight None meaning unweighted.
 
     With pairs None the row of (p.alpha, p.beta) is returned and an
     inadmissible pair or a zero gap under a negative exponent raises.
     Otherwise each pair gets its row or, where the pair is inapplicable,
     the InadmissibleExponents or ZeroGapError the one-pair call would raise.
     """
-    arr, k = _validated(lam, p.k)
-    head = arr[:k]
-    g, zero = _gaps(arr, k)
-    any_zero = bool(zero.any())
     column = {}      # exponent -> its row of the gap-power table
     entries = []
     for alpha, beta in [(p.alpha, p.beta)] if pairs is None else pairs:
@@ -212,7 +234,7 @@ def _two_exponent_rows(lam: Sequence[float], p: BoundParams, pairs: Pairs,
             continue
         exponents = (alpha, beta, 2.0 * alpha - beta - 1.0)
         negative = [e for e in exponents if e < 0]
-        if any_zero and negative:
+        if t.has_zero and negative:
             entries.append(ZeroGapError(
                 f"zero gap with negative exponent {negative[0]}: strict gap required"))
             continue
@@ -221,30 +243,22 @@ def _two_exponent_rows(lam: Sequence[float], p: BoundParams, pairs: Pairs,
 
     # one scalar power per exponent, not one broadcast power: numpy's fast
     # paths for 2, 0.5 and -1 round differently from its general power, so a
-    # broadcast would move rows by an ulp. Zero-gap terms stay 0 under the
-    # zero-contribution policy.
-    g_nz = g[~zero]
-    powers = np.array([g_nz ** e for e in column]).reshape(len(column), g_nz.size)
-    if any_zero:
-        table = np.zeros((len(column), k))
-        table[:, ~zero] = powers
-    else:
-        table = powers
+    # broadcast would move rows by an ulp
+    table = np.array([t.gap_pow(e) for e in column]).reshape(len(column), t.k)
     plain = table.sum(axis=1)
     lhs, t1, t2 = (plain.tolist() if w is None else (table * w).sum(axis=1).tolist()
-                   for w in (None,) + weights(head, p.l))
+                   for w in (None,) + weights)
 
     c0 = p.c0
-    note = _zero_gap_note(zero)
     rows: List[PairRow] = []
     for entry in entries:
         if isinstance(entry, ValueError):
             rows.append(entry)
             continue
         alpha, beta, (a, b, q) = entry
-        rows.append(BoundCheck(name=f"{form}(alpha={alpha:g},beta={beta:g},k={k})",
+        rows.append(BoundCheck(name=f"{form}(alpha={alpha:g},beta={beta:g},k={t.k})",
                                lhs=lhs[a], rhs=c0 * math.sqrt(t1[b] * t2[q]),
-                               notes=note, rel_tol=p.rel_tol))
+                               notes=t.note, rel_tol=p.rel_tol))
     if pairs is not None:
         return rows
     if isinstance(rows[0], ValueError):
@@ -252,7 +266,7 @@ def _two_exponent_rows(lam: Sequence[float], p: BoundParams, pairs: Pairs,
     return rows[0]
 
 
-def yang_type_general(lam: Sequence[float], p: BoundParams,
+def yang_type_general(lam: Spectrum, p: BoundParams,
                       pairs: Pairs = None) -> Union[BoundCheck, List[PairRow]]:
     """General two-exponent gap-power inequality.
 
@@ -264,12 +278,11 @@ def yang_type_general(lam: Sequence[float], p: BoundParams,
     one entry per pair: its BoundCheck, or the InadmissibleExponents or
     ZeroGapError that makes that pair inapplicable.
     """
-    return _two_exponent_rows(
-        lam, p, pairs, "yang_type_general",
-        lambda head, l: (head ** ((l - 1) / l), head ** (1.0 / l)))
+    t = GapList.of(lam, p.k)
+    return _two_exponent_rows(t, p, pairs, "yang_type_general", t.weights(p.l))
 
 
-def yang_type_case(lam: Sequence[float], p: BoundParams, case: int) -> BoundCheck:
+def yang_type_case(lam: Spectrum, p: BoundParams, case: int) -> BoundCheck:
     """Named special cases of the general inequality.
 
     1: balanced second bracket (beta = 2*alpha - 1, alpha within
@@ -282,78 +295,63 @@ def yang_type_case(lam: Sequence[float], p: BoundParams, case: int) -> BoundChec
     Each case is written out from its own displayed form so it can be
     cross-checked against yang_type_general at the same parameters.
     """
-    arr, k = _validated(lam, p.k)
-    head = arr[:k]
-    g, zero = _gaps(arr, k)
-    w_lo = head ** ((p.l - 1) / p.l)
-    w_hi = head ** (1.0 / p.l)
-
+    t = GapList.of(lam, p.k)
+    alpha, beta = p.alpha, p.beta
+    # the gap exponents of the lhs and of the two brackets; None: gap-free
     if case == 1:
-        alpha = p.alpha
         if not (2.0 - math.sqrt(2.0) - 1e-12 <= alpha <= 2.0 + math.sqrt(2.0) + 1e-12):
             raise ParameterError(
                 f"case 1 requires alpha in [2-sqrt(2), 2+sqrt(2)], got {alpha}")
-        lhs = float(np.sum(_gap_pow(g, zero, alpha)))
-        t1 = float(np.sum(_gap_pow(g, zero, 2 * alpha - 1) * w_lo))
-        t2 = float(np.sum(w_hi))
-        name = f"yang_type_case(1,alpha={alpha:g},k={k})"
+        (e0, e1, e2), label = (alpha, 2 * alpha - 1, None), f"1,alpha={alpha:g}"
     elif case == 2:
-        lhs = float(np.sum(g))
-        t1 = float(np.sum(g * w_lo))
-        t2 = float(np.sum(w_hi))
-        name = f"yang_type_case(2,k={k})"
+        (e0, e1, e2), label = (1.0, 1.0, None), "2"
     elif case == 3:
-        beta = p.beta
         if beta < 0.125 - 1e-12:
             raise ParameterError(f"case 3 requires beta >= 1/8, got {beta}")
-        lhs = float(np.sum(_gap_pow(g, zero, 0.5)))
-        t1 = float(np.sum(_gap_pow(g, zero, beta) * w_lo))
-        t2 = float(np.sum(_gap_pow(g, zero, -beta) * w_hi))
-        name = f"yang_type_case(3,beta={beta:g},k={k})"
+        (e0, e1, e2), label = (0.5, beta, -beta), f"3,beta={beta:g}"
     elif case == 4:
-        beta = p.beta
         if beta < 0.5 - 1e-12:
             raise ParameterError(f"case 4 requires beta >= 1/2, got {beta}")
-        lhs = float(np.sum(_gap_pow(g, zero, -1.0)))
-        t1 = float(np.sum(_gap_pow(g, zero, beta) * w_lo))
-        t2 = float(np.sum(_gap_pow(g, zero, -beta - 3.0) * w_hi))
-        name = f"yang_type_case(4,beta={beta:g},k={k})"
+        (e0, e1, e2), label = (-1.0, beta, -beta - 3.0), f"4,beta={beta:g}"
     else:
         raise ParameterError(f"case must be 1, 2, 3 or 4, got {case}")
 
-    rhs = p.c0 * math.sqrt(t1 * t2)
-    return BoundCheck(name=name, lhs=lhs, rhs=rhs, notes=_zero_gap_note(zero),
-                      rel_tol=p.rel_tol)
+    w_lo, w_hi = t.weights(p.l)
+    lhs = float(np.sum(t.gap_pow(e0)))
+    t1 = float(np.sum(t.gap_pow(e1) * w_lo))
+    t2 = float(np.sum(w_hi if e2 is None else t.gap_pow(e2) * w_hi))
+    return BoundCheck(name=f"yang_type_case({label},k={t.k})", lhs=lhs,
+                      rhs=p.c0 * math.sqrt(t1 * t2), notes=t.note, rel_tol=p.rel_tol)
 
 
-def quadratic_gap_bound(lam: Sequence[float], p: BoundParams) -> BoundCheck:
+def quadratic_gap_bound(lam: Spectrum, p: BoundParams) -> BoundCheck:
     """Squared-gap instance (alpha = beta = 2), written out directly."""
-    arr, k = _validated(lam, p.k)
-    head = arr[:k]
-    g, zero = _gaps(arr, k)
+    t = GapList.of(lam, p.k)
+    g = t.gaps
+    w_lo, w_hi = t.weights(p.l)
     lhs = float(np.sum(g ** 2))
-    t1 = float(np.sum(g ** 2 * head ** ((p.l - 1) / p.l)))
-    t2 = float(np.sum(g * head ** (1.0 / p.l)))
+    t1 = float(np.sum(g ** 2 * w_lo))
+    t2 = float(np.sum(g * w_hi))
     rhs = p.c0 * math.sqrt(t1 * t2)
-    return BoundCheck(name=f"quadratic_gap_bound(k={k})", lhs=lhs, rhs=rhs,
-                      notes=_zero_gap_note(zero), rel_tol=p.rel_tol)
+    return BoundCheck(name=f"quadratic_gap_bound(k={t.k})", lhs=lhs, rhs=rhs,
+                      notes=t.note, rel_tol=p.rel_tol)
 
 
-def spectral_gap_bound(lam: Sequence[float], p: BoundParams) -> BoundCheck:
+def spectral_gap_bound(lam: Spectrum, p: BoundParams) -> BoundCheck:
     """Top-gap bound by the product of fractional power sums.
 
     lambda_{k+1} - lambda_k <= c1/k**2 (sum l_i^((l-1)/l)) (sum l_i^(1/l)).
     """
-    arr, k = _validated(lam, p.k)
-    head = arr[:k]
-    lhs = float(arr[k] - arr[k - 1])
-    rhs = p.c1 / k ** 2 * float(np.sum(head ** ((p.l - 1) / p.l))) \
-        * float(np.sum(head ** (1.0 / p.l)))
+    t = GapList.of(lam, p.k)
+    k = t.k
+    w_lo, w_hi = t.weights(p.l)
+    lhs = float(t.values[k] - t.values[k - 1])
+    rhs = p.c1 / k ** 2 * float(np.sum(w_lo)) * float(np.sum(w_hi))
     return BoundCheck(name=f"spectral_gap_bound(k={k})", lhs=lhs, rhs=rhs,
                       rel_tol=p.rel_tol)
 
 
-def yang_type_simplified(lam: Sequence[float], p: BoundParams,
+def yang_type_simplified(lam: Spectrum, p: BoundParams,
                          pairs: Pairs = None) -> Union[BoundCheck, List[PairRow]]:
     """Variant with plain gap sums in the first bracket and l_i in the second.
 
@@ -361,35 +359,35 @@ def yang_type_simplified(lam: Sequence[float], p: BoundParams,
     fractional weights recombine as l_i^((l-1)/l) * l_i^(1/l) = l_i).
     Takes pairs and returns rows as yang_type_general does.
     """
-    return _two_exponent_rows(lam, p, pairs, "yang_type_simplified",
-                              lambda head, l: (None, head))
+    t = GapList.of(lam, p.k)
+    return _two_exponent_rows(t, p, pairs, "yang_type_simplified", (None, t.head))
 
 
-def yang_first_inequality(lam: Sequence[float], p: BoundParams) -> BoundCheck:
+def yang_first_inequality(lam: Spectrum, p: BoundParams) -> BoundCheck:
     """Quadratic-in-gaps bound: sum g_i^2 <= c1 * sum g_i l_i."""
-    arr, k = _validated(lam, p.k)
-    head = arr[:k]
-    g, _ = _gaps(arr, k)
-    lhs = float(np.sum(g ** 2))
-    rhs = p.c1 * float(np.sum(g * head))
-    return BoundCheck(name=f"yang_first_inequality(k={k})", lhs=lhs, rhs=rhs,
+    t = GapList.of(lam, p.k)
+    lhs = float(np.sum(t.gaps ** 2))
+    rhs = p.c1 * float(np.sum(t.gaps * t.head))
+    return BoundCheck(name=f"yang_first_inequality(k={t.k})", lhs=lhs, rhs=rhs,
                       rel_tol=p.rel_tol)
 
 
-def ppw_gap_bound(lam: Sequence[float], p: BoundParams) -> BoundCheck:
+def ppw_gap_bound(lam: Spectrum, p: BoundParams) -> BoundCheck:
     """Top gap bounded by the running mean: l_{k+1} - l_k <= c1/k sum l_i."""
-    arr, k = _validated(lam, p.k)
-    lhs = float(arr[k] - arr[k - 1])
-    rhs = p.c1 / k * float(np.sum(arr[:k]))
+    t = GapList.of(lam, p.k)
+    k = t.k
+    lhs = float(t.values[k] - t.values[k - 1])
+    rhs = p.c1 / k * float(np.sum(t.head))
     return BoundCheck(name=f"ppw_gap_bound(k={k})", lhs=lhs, rhs=rhs,
                       rel_tol=p.rel_tol)
 
 
-def yang_second_inequality(lam: Sequence[float], p: BoundParams) -> BoundCheck:
+def yang_second_inequality(lam: Spectrum, p: BoundParams) -> BoundCheck:
     """Explicit next-eigenvalue bound: l_{k+1} <= (1 + c1)/k sum l_i."""
-    arr, k = _validated(lam, p.k)
-    lhs = float(arr[k])
-    rhs = (1.0 + p.c1) / k * float(np.sum(arr[:k]))
+    t = GapList.of(lam, p.k)
+    k = t.k
+    lhs = float(t.values[k])
+    rhs = (1.0 + p.c1) / k * float(np.sum(t.head))
     return BoundCheck(name=f"yang_second_inequality(k={k})", lhs=lhs, rhs=rhs,
                       rel_tol=p.rel_tol)
 
@@ -414,7 +412,7 @@ def recursive_upper_chain(lambda_1: float, p: BoundParams, depth: int) -> np.nda
     return chain[1:]
 
 
-def comparison_table(lam: Sequence[float], p: BoundParams) -> List[BoundCheck]:
+def comparison_table(lam: Spectrum, p: BoundParams) -> List[BoundCheck]:
     """Historical inequalities evaluated on the same spectrum.
 
     hile_protter: sum l_i/(L - l_i) >= n k / 4, second-order problems only
@@ -424,33 +422,32 @@ def comparison_table(lam: Sequence[float], p: BoundParams) -> List[BoundCheck]:
     Cheng, Ichikawa and Mametsuka's inequality is yang_first_inequality's
     formula, so it has no row of its own.
     """
-    arr, k = _validated(lam, p.k)
-    head = arr[:k]
-    g, zero = _gaps(arr, k)
+    t = GapList.of(lam, p.k)
+    k, g = t.k, t.gaps
+    w_lo, w_hi = t.weights(p.l)
     rows: List[BoundCheck] = []
 
     if p.l != 1:
         rows.append(BoundCheck.inapplicable(
             f"hile_protter(k={k})", "stated for order l=1 only"))
-    elif zero.any():
+    elif t.has_zero:
         rows.append(BoundCheck.inapplicable(
             f"hile_protter(k={k})", "zero gap in a denominator"))
     else:
         rows.append(BoundCheck(
             name=f"hile_protter(k={k})",
             lhs=p.n * k / 4.0,
-            rhs=float(np.sum(head / g)),
+            rhs=float(np.sum(t.head / g)),
             notes="lower-bound form: constant <= gap-ratio sum", rel_tol=p.rel_tol))
 
-    if zero.any():
+    if t.has_zero:
         rows.append(BoundCheck.inapplicable(
             f"chen_qian_hook(k={k})", "zero gap in a denominator"))
     else:
         rows.append(BoundCheck(
             name=f"chen_qian_hook(k={k})",
             lhs=p.n ** 2 * k ** 2 / (4.0 * p.l * (p.n + 2 * p.l - 2)),
-            rhs=float(np.sum(head ** (1.0 / p.l) / g))
-            * float(np.sum(head ** ((p.l - 1) / p.l))),
+            rhs=float(np.sum(w_hi / g)) * float(np.sum(w_lo)),
             notes="lower-bound form: constant <= product of sums", rel_tol=p.rel_tol))
     return rows
 

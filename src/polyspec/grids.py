@@ -8,6 +8,7 @@ the discrete operators.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -19,6 +20,14 @@ _SHAPE_DIMS = {"interval": 1, "rectangle": 2, "box": 3, "masked-rectangle": 2}
 
 class GridError(ValueError):
     """Invalid domain description."""
+
+
+def integer_field(data: dict, key: str, default=None, error=GridError) -> int:
+    """data[key] (default when absent), which must be an integer, not a float or a bool."""
+    value = data.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise error(f"{key!r} must be an integer, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -44,18 +53,23 @@ class DomainSpec:
             raise GridError(f"unknown shape {self.shape!r}; expected one of {SHAPES}")
         if self.n != _SHAPE_DIMS[self.shape]:
             raise GridError(f"shape {self.shape!r} requires n={_SHAPE_DIMS[self.shape]}, got {self.n}")
-        extents = tuple(float(e) for e in self.extents)
-        h = tuple(float(v) for v in self.h)
+        try:
+            extents = tuple(float(e) for e in self.extents)
+            h = tuple(float(v) for v in self.h)
+        except (TypeError, ValueError) as exc:
+            raise GridError(f"extents and h must be numbers: {exc}") from exc
         if len(extents) != self.n or len(h) != self.n:
             raise GridError("extents and h must both have length n")
-        if any(e <= 0 for e in extents) or any(v <= 0 for v in h):
-            raise GridError("extents and h must be positive")
+        if not all(v > 0 and math.isfinite(v) for v in extents + h):
+            raise GridError("extents and h must be positive and finite")
         if self.l < 1:
             raise GridError("operator order l must be a positive integer")
         object.__setattr__(self, "extents", extents)
         object.__setattr__(self, "h", h)
         for d in range(self.n):
             ratio = extents[d] / h[d]
+            if not math.isfinite(ratio):
+                raise GridError(f"h[{d}]={h[d]} is too small for extent {extents[d]}")
             if abs(ratio - round(ratio)) > 1e-8 * ratio:
                 raise GridError(f"h[{d}]={h[d]} does not divide extent {extents[d]}")
         shape_pts = self.interior_shape
@@ -166,8 +180,10 @@ class DomainSpec:
             h = tuple(data["h"])
         except KeyError as exc:
             raise GridError(f"domain is missing field {exc}") from exc
-        n = int(data.get("n", len(extents)))
-        l = int(data.get("l", 1))
+        except TypeError as exc:
+            raise GridError(f"extents and h must be lists: {exc}") from exc
+        n = integer_field(data, "n", len(extents))
+        l = integer_field(data, "l", 1)
         mask = data.get("mask")
         return cls(shape=shape, n=n, extents=extents, h=h, l=l,
                    mask=tuple(mask) if mask is not None else None)

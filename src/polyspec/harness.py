@@ -1,15 +1,17 @@
 """End-to-end verification runs: build, solve, check, report.
 
-Identity checks run first; a failed exactness check poisons the overall
-verdict because inequalities evaluated on a wrong operator mean nothing.
-Runs are deterministic for a fixed config and seed.
+Every check is a (name, row producer) entry of a registry: IDENTITY_CHECKS,
+BOUND_CHECKS and ORACLE_CHECKS, run in that order. Identity checks run
+first; a failed exactness check poisons the overall verdict because
+inequalities evaluated on a wrong operator mean nothing. Runs are
+deterministic for a fixed config and seed.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import List, Optional, Sequence, Union
 
 import numpy as np
@@ -19,7 +21,7 @@ from . import identities as ident
 from .algebra import ExponentPair, InadmissibleExponents
 from .bounds import BoundCheck, BoundParams, ZeroGapError
 from .eigensolve import PairCountError, SolverError, smallest_eigenpairs
-from .grids import DomainSpec, GridError
+from .grids import DomainSpec, GridError, integer_field
 from .operators import build_polyharmonic
 from .oracles import analytic_spectrum
 from .report import VerificationReport
@@ -36,8 +38,10 @@ DEFAULT_TOLERANCES = {
     "agreement": 1e-12,    # special case vs general form
 }
 
-# default special-case parameters exercised by a run
-DEFAULT_CASES = ((1, 1.5, None), (2, None, None), (3, None, 0.5), (4, None, 1.0))
+# the displayed cases a run checks: (case, alpha, beta, the general-form
+# pair the case writes out)
+DEFAULT_CASES = ((1, 1.5, 2.0, (1.5, 2.0)), (2, 2.0, 2.0, (1.0, 1.0)),
+                 (3, 2.0, 0.5, (0.5, 0.5)), (4, 2.0, 1.0, (-1.0, 1.0)))
 
 
 class ConfigError(ValueError):
@@ -47,36 +51,37 @@ class ConfigError(ValueError):
 class _SpectrumRows:
     """What the bound checks of one spectrum share.
 
-    The general form is evaluated in one sweep call, over every pair that
-    the enabled checks read, each pair once: the sweep pairs, the pairs the
-    displayed cases are compared with, and (2, 2) for the quadratic form.
+    Every evaluator reads the one GapList t, so the list is validated and
+    its gaps and weights computed once. The general form is evaluated in
+    one sweep call, over every pair that the enabled checks read, each pair
+    once: the sweep pairs, the pairs the displayed cases are compared with,
+    and (2, 2) for the quadratic form.
     """
 
-    def __init__(self, lam, base: BoundParams, pairs, tolerances: dict, checks):
-        self.lam = np.asarray(lam, dtype=float)
+    def __init__(self, t: bnd.GapList, base: BoundParams, pairs, tolerances: dict, checks):
+        self.t = t
         self.base = base
         self.pairs = pairs
         self.agreement = tolerances["agreement"]
         self.checks = checks
-        self.cases = _cases(base)
+        self.cases = [(case, base.with_exponents(alpha, beta), pair)
+                      for case, alpha, beta, pair in DEFAULT_CASES]
         self._general = None
 
-    @cached_property
-    def zero_gap(self) -> bool:
-        return bnd.has_zero_gap(self.lam, self.base.k)
-
-    def row(self, func, params=None, *args, name=None) -> BoundCheck:
-        """func's row at params (default: the base parameters)."""
+    # evaluators are looked up by name at call time, so wrappers installed
+    # on the bounds module see every call
+    def row(self, func: str, params=None, *args, name=None) -> BoundCheck:
+        """The row of bounds.<func> at params (default: the base parameters)."""
         try:
-            return func(self.lam, self.base if params is None else params, *args)
+            return getattr(bnd, func)(self.t, self.base if params is None else params, *args)
         except (ZeroGapError, InadmissibleExponents, bnd.ParameterError) as exc:
-            return BoundCheck.inapplicable(name or func.__name__, str(exc))
+            return BoundCheck.inapplicable(name or func, str(exc))
 
-    def sweep(self, func, pairs) -> List[BoundCheck]:
-        """func's rows at pairs from one call; an inapplicable pair's row is named after func."""
+    def sweep(self, func: str, pairs) -> List[BoundCheck]:
+        """bounds.<func>'s rows at pairs from one call; an inapplicable pair's row is named func."""
         return [entry if isinstance(entry, BoundCheck)
-                else BoundCheck.inapplicable(func.__name__, str(entry))
-                for entry in func(self.lam, self.base, pairs=pairs)]
+                else BoundCheck.inapplicable(func, str(entry))
+                for entry in getattr(bnd, func)(self.t, self.base, pairs=pairs)]
 
     def general(self, alpha: float, beta: float) -> BoundCheck:
         if self._general is None:
@@ -84,94 +89,81 @@ class _SpectrumRows:
             if {"yang_type_general", "yang_type_simplified"} & self.checks:
                 pairs += self.pairs
             # with a zero gap the cases are not compared with the general form
-            if "yang_type_cases" in self.checks and not self.zero_gap:
+            if "yang_type_cases" in self.checks and not self.t.has_zero:
                 pairs += [pair for _, _, pair in self.cases]
             if "quadratic_gap_bound" in self.checks:
                 pairs.append((2.0, 2.0))
             pairs = list(dict.fromkeys(pairs))
-            # looked up at call time, so wrappers on the bounds module see the call
-            self._general = dict(zip(pairs, self.sweep(bnd.yang_type_general, pairs)))
+            self._general = dict(zip(pairs, self.sweep("yang_type_general", pairs)))
         return self._general[alpha, beta]
-
-
-def _cases(base: BoundParams) -> List[tuple]:
-    """(case, its parameters, the general-form pair it writes out) per default case."""
-    out = []
-    for case, alpha, beta in DEFAULT_CASES:
-        p = base.with_exponents(base.alpha if alpha is None else alpha,
-                                base.beta if beta is None else beta)
-        pair = {1: (p.alpha, 2 * p.alpha - 1), 2: (1.0, 1.0),
-                3: (0.5, p.beta), 4: (-1.0, p.beta)}[case]
-        out.append((case, p, pair))
-    return out
 
 
 def _note(row: BoundCheck, text: str) -> None:
     row.notes = f"{row.notes}; {text}" if row.notes else text
 
 
+def _compare(row: BoundCheck, general: BoundCheck, tol: float, where: str = "") -> float:
+    """The larger relative difference of row's two sides from the general form's.
+
+    Above tol, row fails and its notes say by how much.
+    """
+    mismatch = max(abs(a - b) / max(abs(a), abs(b), 1e-300)
+                   for a, b in ((row.lhs, general.lhs), (row.rhs, general.rhs)))
+    if mismatch > tol:
+        row.holds = False
+        _note(row, f"disagrees with general form{where} by {mismatch:.2e}")
+    return mismatch
+
+
 def _case_rows(rows: _SpectrumRows) -> List[BoundCheck]:
     out = []
     for case, params, pair in rows.cases:
-        row = rows.row(bnd.yang_type_case, params, case, name=f"yang_type_case({case})")
+        row = rows.row("yang_type_case", params, case, name=f"yang_type_case({case})")
         out.append(row)
         if not row.applicable:
             continue
         # with a zero gap the displayed case forms keep gap-free brackets that
         # the zero-contribution policy legitimately shrinks, so they are only
         # comparable with the general form on strict-gap spectra
-        if rows.zero_gap:
+        if rows.t.has_zero:
             _note(row, "agreement with general form skipped (zero gap)")
             continue
         general = rows.general(*pair)
         if not general.applicable:
             _note(row, "general form inapplicable here (zero gap); displayed form only")
             continue
-        mismatch = abs(row.rhs - general.rhs) / max(abs(row.rhs), abs(general.rhs), 1e-300)
-        lhs_mismatch = abs(row.lhs - general.lhs) / max(abs(row.lhs), 1e-300)
-        if max(mismatch, lhs_mismatch) > rows.agreement:
-            row.holds = False
-            _note(row, f"disagrees with general form by {mismatch:.2e}")
-        else:
+        if _compare(row, general, rows.agreement) <= rows.agreement:
             _note(row, "agrees with general form")
     return out
 
 
 def _quadratic_rows(rows: _SpectrumRows) -> List[BoundCheck]:
-    row = rows.row(bnd.quadratic_gap_bound)
+    row = rows.row("quadratic_gap_bound")
     general = rows.general(2.0, 2.0)
-    if row.applicable and general.applicable \
-            and abs(row.rhs - general.rhs) / max(abs(row.rhs), 1e-300) > rows.agreement:
-        row.holds = False
-        row.notes = "disagrees with general form at (2, 2)"
+    if row.applicable and general.applicable:
+        _compare(row, general, rows.agreement, " at (2, 2)")
     return [row]
 
 
 def _simplified_rows(rows: _SpectrumRows) -> List[BoundCheck]:
-    out = rows.sweep(bnd.yang_type_simplified, rows.pairs)
+    out = rows.sweep("yang_type_simplified", rows.pairs)
     for (alpha, beta), row in zip(rows.pairs, out):
         general = rows.general(alpha, beta)
         if row.applicable and general.applicable \
                 and row.rhs < general.rhs * (1 - 1e-12):
             row.holds = False
-            row.notes = "fails to dominate the general right side"
+            _note(row, "fails to dominate the general right side")
     return out
 
 
 def _chain_rows(rows: _SpectrumRows) -> List[BoundCheck]:
-    k = rows.base.k or rows.lam.size - 1  # BoundParams rejects k < 1
-    chain = bnd.recursive_upper_chain(float(rows.lam[0]), rows.base, depth=k)
-    ratios = rows.lam[1:k + 1] / chain[:k]
+    k, lam = rows.t.k, rows.t.values
+    chain = bnd.recursive_upper_chain(float(lam[0]), rows.base, depth=k)
+    ratios = lam[1:k + 1] / chain[:k]
     return [BoundCheck(
         name=f"recursive_chain(depth={k})",
         lhs=float(np.max(ratios)), rhs=1.0, rel_tol=rows.base.rel_tol,
         notes="max ratio of computed eigenvalue to chained upper bound")]
-
-
-def _single(name: str):
-    # the evaluator is looked up at call time, so wrappers installed on the
-    # bounds module see every call
-    return lambda rows: [rows.row(getattr(bnd, name))]
 
 
 # every inequality check in report order: (check name, row producer)
@@ -179,25 +171,62 @@ BOUND_CHECKS = (
     ("yang_type_general", lambda rows: [rows.general(a, b) for a, b in rows.pairs]),
     ("yang_type_cases", _case_rows),
     ("quadratic_gap_bound", _quadratic_rows),
-    ("spectral_gap_bound", _single("spectral_gap_bound")),
+    ("spectral_gap_bound", lambda rows: [rows.row("spectral_gap_bound")]),
     ("yang_type_simplified", _simplified_rows),
-    ("yang_first_inequality", _single("yang_first_inequality")),
-    ("ppw_gap_bound", _single("ppw_gap_bound")),
-    ("yang_second_inequality", _single("yang_second_inequality")),
-    ("comparison", lambda rows: bnd.comparison_table(rows.lam, rows.base)),
+    ("yang_first_inequality", lambda rows: [rows.row("yang_first_inequality")]),
+    ("ppw_gap_bound", lambda rows: [rows.row("ppw_gap_bound")]),
+    ("yang_second_inequality", lambda rows: [rows.row("yang_second_inequality")]),
+    ("comparison", lambda rows: bnd.comparison_table(rows.t, rows.base)),
     ("recursive_chain", _chain_rows),
 )
 
-IDENTITY_CHECKS = ("commutator", "trace_identity", "interpolation", "gradient_sum")
-KNOWN_CHECKS = IDENTITY_CHECKS + tuple(name for name, _ in BOUND_CHECKS) + ("oracle",)
+
+def _oracle_rows(config: "RunConfig", spectrum) -> List[ident.IdentityRow]:
+    """Computed eigenvalues against the analytic ones, where the domain has them."""
+    tol = config.tolerances["oracle"]
+    lam = spectrum.eigenvalues
+    reference = analytic_spectrum(config.domain, config.k + 1)
+    if reference is None:
+        return [ident.IdentityRow(
+            name="oracle", observed=0.0, reference=0.0, deviation=0.0, tol=tol,
+            passed=True, notes="no analytic reference for this domain")]
+    rows = []
+    for j in range(config.k + 1):
+        rel = abs(lam[j] - reference[j]) / reference[j]
+        rows.append(ident.IdentityRow(
+            name=f"oracle(lambda_{j + 1})", observed=float(lam[j]),
+            reference=float(reference[j]), deviation=rel, tol=tol, passed=rel <= tol))
+    return rows
+
+
+# the checks that read the solved spectrum, (check name, row producer) taking
+# the config and the spectrum; each looks its function up at call time, so
+# wrappers on the identities module see every call
+IDENTITY_CHECKS = (
+    ("commutator", lambda c, s: ident.commutator_check(
+        c.domain, seed=c.seed, tol=c.tolerances["commutator"])),
+    ("trace_identity", lambda c, s: ident.trace_identity_check(
+        s, c.domain, tol=c.tolerances["trace"])),
+    ("interpolation", lambda c, s: ident.interpolation_check(
+        s, c.domain, tol=c.tolerances["interpolation"])),
+    ("gradient_sum", lambda c, s: ident.gradient_sum_check(
+        s, c.domain, tol_match=c.tolerances["gradient_match"],
+        tol_bound=c.tolerances["gradient_bound"])),
+)
+ORACLE_CHECKS = (("oracle", _oracle_rows),)
+KNOWN_CHECKS = tuple(name for name, _ in IDENTITY_CHECKS + BOUND_CHECKS + ORACLE_CHECKS)
+
+
+def _produce(registry, checks, *args) -> list:
+    """Rows of the registered checks named in checks, in registry order."""
+    return [row for name, produce in registry if name in checks for row in produce(*args)]
 
 
 def _bound_rows(lam, base: BoundParams, pairs, tolerances: dict,
                 checks) -> List[BoundCheck]:
-    """Rows of the registered checks named in checks, in registry order."""
-    rows = _SpectrumRows(lam, base, pairs, tolerances, set(checks))
-    return [row for name, produce in BOUND_CHECKS if name in checks
-            for row in produce(rows)]
+    """Bound rows of the checks named in checks, from one GapList of lam."""
+    rows = _SpectrumRows(bnd.GapList(lam, base.k), base, pairs, tolerances, set(checks))
+    return _produce(BOUND_CHECKS, checks, rows)
 
 
 @dataclass
@@ -221,9 +250,14 @@ class RunConfig:
         for name, value in dict(self.tolerances).items():
             if name not in DEFAULT_TOLERANCES:
                 raise ConfigError(f"unknown tolerance {name!r}")
-            if not (float(value) > 0):
-                raise ConfigError(f"tolerance {name!r} must be positive")
-            merged[name] = float(value)
+            try:
+                value = float(value)
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"tolerance {name!r} must be a number") from exc
+            # an infinite tolerance would pass every row without checking it
+            if not (value > 0 and math.isfinite(value)):
+                raise ConfigError(f"tolerance {name!r} must be positive and finite")
+            merged[name] = value
         self.tolerances = merged
         if isinstance(self.sweeps, str):
             if self.sweeps != "auto-grid":
@@ -275,11 +309,11 @@ class RunConfig:
             raise ConfigError(str(exc)) from exc
         return cls(
             domain=domain,
-            k=int(data["k"]),
+            k=integer_field(data, "k", error=ConfigError),
             sweeps=data.get("sweeps", "auto-grid"),
             checks=tuple(data.get("checks", KNOWN_CHECKS)),
             tolerances=dict(data.get("tolerances", {})),
-            seed=int(data.get("seed", 0)),
+            seed=integer_field(data, "seed", 0, error=ConfigError),
             output=data.get("output"),
         )
 
@@ -301,9 +335,8 @@ def run(config: RunConfig, out_override: Optional[str] = None) -> VerificationRe
     out_prefix = out_override if out_override is not None else config.output
 
     operator = build_polyharmonic(spec)
-    pairs_needed = config.k + 1
     try:
-        spectrum = smallest_eigenpairs(operator, pairs_needed,
+        spectrum = smallest_eigenpairs(operator, config.k + 1,
                                        tol=tol["solver"], seed=config.seed)
     except PairCountError as exc:
         raise ConfigError(f"k+1: {exc}") from exc
@@ -323,50 +356,19 @@ def run(config: RunConfig, out_override: Optional[str] = None) -> VerificationRe
     }
 
     enabled = set(config.checks)
-    identity_rows: List[ident.IdentityRow] = []
-    oracle_rows: List[ident.IdentityRow] = []
-
-    # exactness checks come first
-    if "commutator" in enabled:
-        identity_rows += ident.commutator_check(spec, seed=config.seed,
-                                                tol=tol["commutator"])
-    if "trace_identity" in enabled:
-        identity_rows += ident.trace_identity_check(spectrum, spec, tol=tol["trace"])
-    if "interpolation" in enabled:
-        identity_rows += ident.interpolation_check(spectrum, spec,
-                                                   tol=tol["interpolation"])
-    if "gradient_sum" in enabled:
-        identity_rows += ident.gradient_sum_check(
-            spectrum, spec, tol_match=tol["gradient_match"],
-            tol_bound=tol["gradient_bound"])
-
-    lam = spectrum.eigenvalues
+    identity_rows = _produce(IDENTITY_CHECKS, enabled, config, spectrum)
     bound_rows = _bound_rows(
-        lam, BoundParams(l=spec.l, n=spec.n, k=config.k, rel_tol=tol["bounds"]),
+        spectrum.eigenvalues,
+        BoundParams(l=spec.l, n=spec.n, k=config.k, rel_tol=tol["bounds"]),
         config.sweep_pairs(), tol, enabled)
+    oracle_rows = _produce(ORACLE_CHECKS, enabled, config, spectrum)
 
-    if "oracle" in enabled:
-        reference = analytic_spectrum(spec, pairs_needed)
-        if reference is None:
-            oracle_rows.append(ident.IdentityRow(
-                name="oracle", observed=0.0, reference=0.0,
-                deviation=0.0, tol=tol["oracle"], passed=True,
-                notes="no analytic reference for this domain"))
-        else:
-            for j in range(pairs_needed):
-                rel = abs(lam[j] - reference[j]) / reference[j]
-                oracle_rows.append(ident.IdentityRow(
-                    name=f"oracle(lambda_{j + 1})",
-                    observed=float(lam[j]), reference=float(reference[j]),
-                    deviation=rel, tol=tol["oracle"], passed=rel <= tol["oracle"]))
-
-    identity_ok = all(r.passed for r in identity_rows)
-    bounds_ok = all(r.holds for r in bound_rows if r.applicable)
-    oracle_ok = all(r.passed for r in oracle_rows)
+    passed = all(r.passed for r in identity_rows + oracle_rows) \
+        and all(r.holds for r in bound_rows if r.applicable)
     report.identity_rows = [r.to_dict() for r in identity_rows]
     report.bound_rows = [r.to_dict() for r in bound_rows]
     report.oracle_rows = [r.to_dict() for r in oracle_rows]
-    report.verdict = "pass" if (identity_ok and bounds_ok and oracle_ok) else "fail"
+    report.verdict = "pass" if passed else "fail"
 
     if out_prefix:
         report.save(out_prefix)

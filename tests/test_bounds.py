@@ -9,6 +9,7 @@ from polyspec.algebra import InadmissibleExponents
 from polyspec.bounds import (
     BoundCheck,
     BoundParams,
+    GapList,
     ParameterError,
     ZeroGapError,
     admissible_grid,
@@ -502,6 +503,62 @@ class TestZeroGapConvention:
         check = yang_type_general(lam, params(k=2))
         exact = yang_type_general([1.0, 2.0, 2.0], params(k=2))
         assert check.lhs == pytest.approx(exact.lhs, rel=1e-9)
+
+
+class TestGapList:
+    """One validated list per (spectrum, k), read by every evaluator."""
+
+    @pytest.mark.parametrize("lam", [[1.0, math.nan], [1.0, 4.0, math.inf],
+                                     [math.nan, 1.0, 2.0]])
+    def test_non_finite_values_rejected(self, lam):
+        # a nan passed the positivity and ordering checks, and an infinite
+        # lambda_{k+1} made every gap count as zero, so such lists passed
+        with pytest.raises(ValueError, match="finite"):
+            GapList(lam)
+        with pytest.raises(ValueError, match="finite"):
+            evaluate_bounds_on_list(lam, l=1, n=1)
+
+    def test_values_past_the_cut_are_not_read(self):
+        t = GapList([1.0, 4.0, math.inf], k=1)
+        assert t.k == 1 and t.gaps.tolist() == [3.0]
+
+    def test_of_returns_the_list_cut_at_its_k(self):
+        t = GapList(SQUARE, 6)
+        assert GapList.of(t, 6) is t
+        whole = GapList(SQUARE)
+        assert GapList.of(whole, None) is whole
+        assert GapList.of(SQUARE, 6) is not t
+
+    def test_of_rejects_another_k(self):
+        t = GapList(SQUARE, 6)
+        with pytest.raises(ValueError, match="k=6"):
+            GapList.of(t, 5)
+        with pytest.raises(ValueError):
+            yang_type_general(t, params(k=7))
+        with pytest.raises(ValueError):  # k None: all but the last value
+            GapList.of(t, None)
+
+    @pytest.mark.parametrize("lam", [SQUARE, [2.0, 5.0, 5.0, 8.0, 9.0, 9.5, 11.0, 13.0]],
+                             ids=["square", "zero-gap"])
+    def test_rows_from_a_gap_list_equal_rows_from_the_list(self, lam):
+        p = params(l=2, k=6)
+        t = GapList(lam, 6)
+        for func in (yang_type_general, quadratic_gap_bound, spectral_gap_bound,
+                     yang_type_simplified, yang_first_inequality, ppw_gap_bound,
+                     yang_second_inequality):
+            assert func(t, p).to_dict() == func(lam, p).to_dict()
+        for case, q in ((1, params(l=2, k=6, alpha=1.5)), (2, p)):
+            assert yang_type_case(t, q, case).to_dict() == yang_type_case(lam, q, case).to_dict()
+        assert [r.to_dict() for r in comparison_table(t, p)] \
+            == [r.to_dict() for r in comparison_table(lam, p)]
+        assert has_zero_gap(t, 6) == has_zero_gap(lam, 6)
+
+    def test_weights_raised_once_per_order(self):
+        t = GapList(SQUARE, 6)
+        assert t.weights(2) is t.weights(2)
+        w_lo, w_hi = t.weights(3)
+        np.testing.assert_array_equal(w_lo, np.asarray(SQUARE[:6]) ** (2 / 3))
+        np.testing.assert_array_equal(w_hi, np.asarray(SQUARE[:6]) ** (1 / 3))
 
 
 class TestScaleCovariance:

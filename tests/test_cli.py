@@ -66,6 +66,29 @@ class TestVerify:
     def test_bad_tol_syntax_exit_two(self, config_path):
         assert main(["verify", "--config", config_path, "--tol", "oops"]) == 2
 
+    def test_infinite_tolerances_exit_two(self, config_path, tmp_path):
+        # with every tolerance infinite the run passed without checking anything
+        assert main(["verify", "--config", config_path,
+                     "--tol", "bounds=inf", "--tol", "oracle=inf"]) == 2
+        data = json.loads(Path(config_path).read_text())
+        data["tolerances"]["oracle"] = float("inf")
+        path = tmp_path / "inf.json"
+        path.write_text(json.dumps(data))  # written as Infinity
+        assert main(["verify", "--config", str(path)]) == 2
+
+    @pytest.mark.parametrize("edit", [
+        lambda d: d["domain"]["extents"].__setitem__(0, float("inf")),
+        lambda d: d["domain"]["h"].__setitem__(0, float("nan")),
+        lambda d: d.__setitem__("k", 2.9),
+        lambda d: d["domain"].__setitem__("l", 1.5),
+    ], ids=["inf-extent", "nan-h", "float-k", "float-l"])
+    def test_bad_config_numbers_exit_two(self, config_path, tmp_path, edit):
+        data = json.loads(Path(config_path).read_text())
+        edit(data)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        assert main(["verify", "--config", str(path)]) == 2
+
 
 class TestSolve:
     def test_prints_eigenvalues(self, config_path, capsys):
@@ -131,6 +154,8 @@ class TestBounds:
         ("1.0\n2.0\n3.0\n", ["--k", "0"]),
         ("1.0\n2.0\n3.0\n", ["--l", "0"]),
         ("3.0\n2.0\n1.0\n", []),               # decreasing list
+        ("1.0\nnan\n", []),                    # passed with 0 failures
+        ("1.0\n4.0\ninf\n", []),               # every gap counted as zero
     ])
     def test_bad_parameters_exit_two(self, tmp_path, capsys, values, flags):
         path = tmp_path / "eigs.txt"

@@ -30,6 +30,18 @@ class TestDomainSpec:
         with pytest.raises(GridError):
             DomainSpec(shape="interval", n=2, extents=(1.0, 1.0), h=(0.1, 0.1))
 
+    @pytest.mark.parametrize("extents, h", [((np.inf,), (0.1,)), ((np.nan,), (0.1,)),
+                                            ((1.0,), (np.inf,)), ((1.0,), (np.nan,)),
+                                            (("one",), (0.1,)), ((1e308,), (1e-308,))])
+    def test_rejects_non_finite_extents_and_spacing(self, extents, h):
+        # these escaped as OverflowError or ValueError, a crash and not a config error
+        with pytest.raises(GridError):
+            DomainSpec(shape="interval", n=1, extents=extents, h=h)
+
+    def test_from_dict_rejects_scalar_extents(self):
+        with pytest.raises(GridError, match="lists"):
+            DomainSpec.from_dict({"shape": "interval", "extents": 1.0, "h": [0.1]})
+
     def test_rejects_nondividing_spacing(self):
         with pytest.raises(GridError):
             DomainSpec(shape="interval", n=1, extents=(1.0,), h=(0.3,))

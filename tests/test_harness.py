@@ -1,11 +1,13 @@
 """Run configuration, pipeline orchestration, report round-trips."""
 
 import json
+import math
 
 import pytest
 
 import polyspec
 from polyspec import bounds
+from polyspec.bounds import BoundCheck
 from polyspec.grids import DomainSpec
 from polyspec.harness import (
     KNOWN_CHECKS,
@@ -47,6 +49,44 @@ class TestRunConfig:
             square_config(tolerances={"bogus": 1.0})
         with pytest.raises(ConfigError):
             square_config(tolerances={"bounds": -1.0})
+
+    @pytest.mark.parametrize("value", [math.inf, math.nan, "lots"])
+    def test_tolerance_must_be_a_finite_number(self, value):
+        # an infinite tolerance passes every row it governs
+        with pytest.raises(ConfigError):
+            square_config(tolerances={"bounds": value})
+
+    @pytest.mark.parametrize("field, value", [("k", 3.9), ("k", True), ("seed", 2.5)])
+    def test_run_integers_required(self, field, value):
+        # int() used to truncate these silently: k 3.9 ran at k 3
+        data = square_config().to_dict()
+        data[field] = value
+        with pytest.raises(ConfigError, match="integer"):
+            RunConfig.from_dict(data)
+
+    @pytest.mark.parametrize("field, value", [("l", 2.7), ("l", True), ("n", 2.0)])
+    def test_domain_integers_required(self, field, value):
+        data = square_config().to_dict()
+        data["domain"][field] = value
+        with pytest.raises(ConfigError, match="integer"):
+            RunConfig.from_dict(data)
+
+    @pytest.mark.parametrize("field, value", [("extents", math.inf), ("extents", math.nan),
+                                              ("h", math.inf), ("h", math.nan)])
+    def test_domain_numbers_must_be_finite(self, field, value):
+        data = square_config().to_dict()
+        data["domain"][field][0] = value
+        with pytest.raises(ConfigError, match="finite"):
+            RunConfig.from_dict(data)
+
+    def test_known_checks_keep_report_order(self):
+        # the default checks tuple is written into every report's config
+        assert KNOWN_CHECKS == (
+            "commutator", "trace_identity", "interpolation", "gradient_sum",
+            "yang_type_general", "yang_type_cases", "quadratic_gap_bound",
+            "spectral_gap_bound", "yang_type_simplified", "yang_first_inequality",
+            "ppw_gap_bound", "yang_second_inequality", "comparison",
+            "recursive_chain", "oracle")
 
     def test_bad_sweep_string(self):
         with pytest.raises(ConfigError):
@@ -257,6 +297,71 @@ class TestEvaluateBoundsOnList:
         rows = evaluate_bounds_on_list(report.spectrum["eigenvalues"],
                                        l=domain.l, n=domain.n, k=config.k)
         assert [r.to_dict() for r in rows] == report.bound_rows
+
+
+class TestSharedGapList:
+    @staticmethod
+    def count_builds(monkeypatch):
+        built = []
+        init = bounds.GapList.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(bounds.GapList, "__init__", counting)
+        return built
+
+    def test_one_gap_list_per_list_evaluation(self, monkeypatch):
+        built = self.count_builds(monkeypatch)
+        rows = evaluate_bounds_on_list(interval_eigenvalues(41), l=2, n=1, k=40)
+        assert len(rows) > 100
+        assert len(built) == 1
+        assert list(built[0]._weights) == [2]  # each weight raised once
+
+    def test_one_gap_list_per_run(self, monkeypatch):
+        built = self.count_builds(monkeypatch)
+        report = run(square_config(points=20, k=4, seed=3))
+        assert report.verdict == "pass"
+        assert len(built) == 1
+
+
+def _lhs_off(func):
+    """func with its rows' lhs moved by 1e-9 relative."""
+    def off(*args):
+        row = func(*args)
+        return BoundCheck(name=row.name, lhs=row.lhs * (1 + 1e-9), rhs=row.rhs,
+                          notes=row.notes, rel_tol=row.rel_tol)
+    return off
+
+
+class TestAgreement:
+    """The cross-check forms are compared with the general form on both sides."""
+
+    def test_quadratic_lhs_disagreement_fails_the_row(self, monkeypatch):
+        monkeypatch.setattr(bounds, "quadratic_gap_bound",
+                            _lhs_off(bounds.quadratic_gap_bound))
+        rows = evaluate_bounds_on_list([2.0, 5.0, 5.0, 8.0], l=1, n=1, k=2)
+        (row,) = [r for r in rows if r.name.startswith("quadratic_gap_bound")]
+        assert row.applicable and not row.holds
+        # the disagreement is appended to the zero-gap note, not written over it
+        assert row.notes.startswith("repeated eigenvalues")
+        assert row.notes.endswith("disagrees with general form at (2, 2) by 1.00e-09")
+
+    def test_case_note_names_the_lhs_mismatch(self, monkeypatch):
+        monkeypatch.setattr(bounds, "yang_type_case", _lhs_off(bounds.yang_type_case))
+        rows = evaluate_bounds_on_list(interval_eigenvalues(8), l=1, n=1)
+        cases = [r for r in rows if r.name.startswith("yang_type_case")]
+        assert len(cases) == 4
+        for row in cases:
+            assert not row.holds
+            assert row.notes == "disagrees with general form by 1.00e-09"
+
+    def test_agreeing_rows_keep_their_notes(self):
+        rows = evaluate_bounds_on_list(interval_eigenvalues(8), l=1, n=1)
+        notes = {r.name.split("(")[0]: r.notes for r in rows if r.holds}
+        assert notes["yang_type_case"] == "agrees with general form"
+        assert notes["quadratic_gap_bound"] == ""
 
 
 class TestReportType:
