@@ -6,21 +6,30 @@ the operator x -> A^(-1) x, applied through one sparse LU per block.
 Blocks. An unmasked box from ``build_polyharmonic`` or ``build_laplacian``
 carries a ``BoxLayout``, whose reflection-parity blocks G_b, each composed
 as G is from folded 1-D differences, split G exactly (see ``operators``).
-When splitting pays, each block is factored by the rule below, gets one
-Lanczos run for k pairs from its own start vector (``default_rng(seed)``
-of the block's dimension, as for an operator that is one block), and has
-its LU freed before the next block is factored; a running merge keeps the
-k smallest pairs so far, mapped back to the interior cells and to G's
-rows by one reflection per axis (``ParityBlock.columns`` and ``rows``).
-The split pays through smaller LUs, whose cost their separators set, and
-costs one Lanczos run per block. So it is taken when n >= 2, every block
-has more than k unknowns and the smallest block's separator,
-l * b^((n-1)/n) cells for b unknowns, is at least MIN_BLOCK_SEPARATOR; on
-2 cores that is where the split stopped losing (about 50^2 for l = 2
-squares, 100^2-130^2 for l = 1 squares, 14^3 for l = 1 cubes). Every
-other operator is one block, G itself. Either way the certificate below
-is formed on the whole G, from each block's own u, with the global
-sigma_1 in its gate.
+Blocks whose parity patterns are axis permutations of each other (over
+axes with equal point counts and spacing) are isospectral, so when
+splitting pays, the blocks are taken in parity order and each is either
+solved or copied. The first block of each axis-permutation class is built,
+factored by the rule below and given one Lanczos run for k pairs from its
+own start vector (``default_rng(seed)`` of the block's dimension, as for
+an operator that is one block), and has its LU freed before the next block
+is factored. Every later block of the class (``BoxLayout.copies``) takes
+its pairs: the same eigenvalues, with v and u permuted over the interior
+cells and G's rows (``BoxLayout.permute_columns`` and ``permute_rows``).
+A running merge keeps the k smallest pairs so far, earlier blocks first on
+ties; only the pairs that enter it are mapped back to the interior cells
+and to G's rows by one reflection per axis (``ParityBlock.columns`` and
+``rows``) and, for a copy, permuted. Each solved block's pairs wait in
+folded block coordinates for its copies. The split pays through smaller
+LUs, whose cost their separators set, and costs one Lanczos run per class.
+So it is taken when n >= 2, every block has more than k unknowns and the
+smallest block's separator, l * b^((n-1)/n) cells for b unknowns, is at
+least MIN_BLOCK_SEPARATOR; on 2 cores that is where the split stopped
+losing when every block had a Lanczos run of its own (about 50^2 for
+l = 2 squares, 100^2-130^2 for l = 1 squares, 14^3 for l = 1 cubes).
+Every other operator is one block, G itself. Either way the certificate
+below is formed on the whole G for every pair, copies included, from each
+pair's own u, with the global sigma_1 in its gate.
 
 * Order l >= 2: the augmented matrix K = [[-I, G], [G^T, 0]] is factored
   and K (u, y) = (0, x) gives y = A^(-1) x and u = G y without ever
@@ -70,8 +79,11 @@ from .operators import DiscreteOperator
 EPS = np.finfo(float).eps
 FLOOR_FACTOR = 64.0     # multiplies eps * ||G|| / sigma_1 in the acceptance gate
 # fewest separator cells of the smallest parity block for the split to pay:
-# below it the fixed cost of one Lanczos run per block outweighs the saving
-# on the LUs, whose cost the separators set
+# below it the fixed cost of one Lanczos run per axis-permutation class
+# outweighs the saving on the LUs, whose cost the separators set. The value
+# was measured when every block had a Lanczos run of its own; with one run
+# per class the crossover may sit lower, but retuning it moves which
+# operators split, so it waits for its own measurement
 MIN_BLOCK_SEPARATOR = 48
 
 
@@ -147,10 +159,11 @@ def _factored_solver(g: sp.csr_matrix, order: int):
     return (lambda x: solve(x)[m:]), (lambda x: solve(x)[:m])
 
 
-def _blocks(op: DiscreteOperator, k: int):
-    """The ParityBlocks of op when splitting pays, else [None]: op itself.
-
-    The blocks are built one at a time, as the caller asks for them.
+def _blocks(op: DiscreteOperator, k: int) -> tuple:
+    """(parities, copies) of op when splitting pays, else ([None], {}): op
+    as one block. copies maps each parity pattern whose block is an axis
+    permutation of an earlier one to (representative, axes)
+    (``BoxLayout.copies``).
     """
     layout = op.layout
     if layout is not None and len(layout.interior) >= 2:
@@ -159,8 +172,8 @@ def _blocks(op: DiscreteOperator, k: int):
         smallest = min(layout.block_dimension(p) for p in parities)
         # separator order * smallest^((n-1)/n) against the threshold, in integers
         if smallest > k and op.order ** n * smallest ** (n - 1) >= MIN_BLOCK_SEPARATOR ** n:
-            return (layout.block(parity) for parity in parities)
-    return [None]
+            return parities, layout.copies()
+    return [None], {}
 
 
 def _block_pairs(g: sp.csr_matrix, order: int, k: int, v0: np.ndarray):
@@ -186,51 +199,12 @@ def _block_pairs(g: sp.csr_matrix, order: int, k: int, v0: np.ndarray):
     return 1.0 / mu, v, lift
 
 
-def smallest_eigenpairs(op: DiscreteOperator, k: int, tol: float = 1e-8,
-                        seed: int = 0, compute_vectors: bool = True) -> Spectrum:
-    """k smallest eigenpairs of A = G^T G, each with a certified radius.
-
-    Deterministic for a fixed seed: ARPACK gets a seeded starting vector
-    (each parity block draws its own from the same seed when the operator
-    splits).
-    Lanczos cannot return every pair, so k must stay below the operator
-    dimension. Spectrum.residuals holds each pair's relative radius and
-    solver_tol the larger of tol and the largest radius.
+def _certify(g: sp.csr_matrix, lam: np.ndarray, v: np.ndarray, u: np.ndarray,
+             tol: float) -> np.ndarray:
+    """Relative radii of the pairs (lam, v, u) on the whole factor G, from
+    the factored residuals (see the module); SolverError past the gate.
+    v holds unit columns; u is normalized here.
     """
-    if k < 1:
-        raise ValueError("k must be a positive integer")
-    dim = op.dimension
-    if k >= dim:
-        raise PairCountError(f"k={k} eigenpairs need an operator dimension "
-                             f"above {k}, got {dim}")
-
-    lam = v = u = None
-    for block in _blocks(op, k):
-        g_b = op.factor if block is None else block.factor
-        start = np.random.default_rng(seed).standard_normal(g_b.shape[1])
-        lam_b, v_b, lift = _block_pairs(g_b, op.order, k, start)
-        if lam is not None:
-            # running merge with the k smallest pairs so far, earlier blocks
-            # first on ties; only the block's pairs that enter it are lifted
-            best = np.argsort(np.concatenate([lam, lam_b]), kind="stable")[:k]
-            fresh = best >= k
-            v_b = v_b[:, best[fresh] - k]
-        u_b = lift(v_b)
-        del lift  # frees the block's LU
-        if block is not None:
-            v_b = block.columns(v_b)
-            v_b /= np.linalg.norm(v_b, axis=0)
-            u_b = block.rows(u_b)
-        if lam is None:
-            lam, v, u = lam_b, v_b, u_b
-        else:
-            lam = np.concatenate([lam, lam_b])[best]
-            take = np.where(fresh, k + np.cumsum(fresh) - 1, best)
-            v = np.hstack([v, v_b])[:, take]
-            u = np.hstack([u, u_b])[:, take]
-
-    # certificate on the whole factor, from the factored residuals
-    g = op.factor
     g_norm = _norm_bound(g)
     u_norm = np.linalg.norm(u, axis=0)
     # u = G A^(-1) v rounds to zero (or overflows) when A is singular to
@@ -253,6 +227,72 @@ def smallest_eigenpairs(op: DiscreteOperator, k: int, tol: float = 1e-8,
         raise SolverError(
             f"pair {worst}: radius {radii[worst]:.3e} exceeds "
             f"tolerance {gate:.3e}", residuals=radii)
+    return radii
+
+
+def smallest_eigenpairs(op: DiscreteOperator, k: int, tol: float = 1e-8,
+                        seed: int = 0, compute_vectors: bool = True) -> Spectrum:
+    """k smallest eigenpairs of A = G^T G, each with a certified radius.
+
+    Deterministic for a fixed seed: ARPACK gets a seeded starting vector
+    (each parity block that is solved, not copied, draws its own from the
+    same seed when the operator splits).
+    Lanczos cannot return every pair, so k must stay below the operator
+    dimension. Spectrum.residuals holds each pair's relative radius and
+    solver_tol the larger of tol and the largest radius.
+    """
+    if k < 1:
+        raise ValueError("k must be a positive integer")
+    dim = op.dimension
+    if k >= dim:
+        raise PairCountError(f"k={k} eigenpairs need an operator dimension "
+                             f"above {k}, got {dim}")
+
+    layout = op.layout
+    parities, copies = _blocks(op, k)
+    representatives = {rep for rep, _ in copies.values()}
+    solved = {}  # representative -> its block and merged pairs, folded
+    lam = v = u = None
+    for parity in parities:
+        copy = copies.get(parity)  # (representative, axes), or None: solve it
+        if copy is None:
+            block = None if parity is None else layout.block(parity)
+            g_b = op.factor if block is None else block.factor
+            start = np.random.default_rng(seed).standard_normal(g_b.shape[1])
+            lam_b, v_b, lift = _block_pairs(g_b, op.order, k, start)
+        else:
+            block, lam_b, v_b, u_b = solved[copy[0]]
+        if lam is not None:
+            # running merge with the k smallest pairs so far, earlier blocks
+            # first on ties; only the block's pairs that enter it are lifted,
+            # unfolded and permuted
+            best = np.argsort(np.concatenate([lam, lam_b]), kind="stable")[:k]
+            fresh = best >= k
+            enter = best[fresh] - k
+            lam_b, v_b = lam_b[enter], v_b[:, enter]
+            if copy is not None:
+                u_b = u_b[:, enter]
+        if copy is None:
+            u_b = lift(v_b)
+            del lift  # frees the block's LU
+            if parity in representatives:
+                solved[parity] = (block, lam_b, v_b, u_b)
+        if block is not None:
+            # unfolding is orthonormal, so v_b stays a unit vector to rounding
+            v_b = block.columns(v_b)
+            u_b = block.rows(u_b)
+            if copy is not None:
+                v_b = layout.permute_columns(v_b, copy[1])
+                u_b = layout.permute_rows(u_b, copy[1])
+        if lam is None:
+            lam, v, u = lam_b, v_b, u_b
+        else:
+            take = np.where(fresh, k + np.cumsum(fresh) - 1, best)
+            lam = np.concatenate([lam, lam_b])[take]
+            v = np.hstack([v, v_b])[:, take]
+            u = np.hstack([u, u_b])[:, take]
+
+    radii = _certify(op.factor, lam, v, u, tol)
 
     vectors = None
     if compute_vectors:

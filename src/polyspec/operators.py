@@ -41,6 +41,18 @@ the injection folds to itself on the folded sizes. Block vectors map back
 by one reflection per axis (``_unfold``). Only ``build_laplacian`` and
 ``build_polyharmonic`` know G's row layout; they attach it to unmasked
 operators as a ``BoxLayout``, which builds one block at a time.
+
+Axis-permutation classes. Permuting axes with equal point counts and
+equal spacing maps the box and the stencil to themselves, so it maps G to
+G up to one permutation of its columns (the interior cells) and one of its
+rows (the padded cells for even l; for odd l the stacked edge parts, part
+d moving to part pi(d)). A block whose parity pattern is such a
+permutation of another's is that block with its columns and rows permuted:
+the same spectrum, with vectors permuted the same way (Faessler & Stiefel,
+Group Theoretical Methods and Their Applications, 1992, on the isotypic
+blocks of the hyperoctahedral group). A square's 4 blocks fall into 3
+classes and a cube's 8 into 4; ``BoxLayout.copies`` names them from its
+own fields.
 """
 
 from __future__ import annotations
@@ -131,6 +143,13 @@ def _unfold(y: np.ndarray, sizes, parity) -> np.ndarray:
     return y.reshape(math.prod(sizes), y.shape[-1])
 
 
+def _permute_axes(y: np.ndarray, sizes, axes) -> np.ndarray:
+    """Columns of y on a box of the given sizes, axis e taken from axis
+    axes[e]; the permuted axes have equal sizes."""
+    box = y.reshape(tuple(sizes) + (y.shape[-1],))
+    return box.transpose(tuple(axes) + (len(sizes),)).reshape(y.shape)
+
+
 @dataclass(frozen=True, eq=False)
 class BoxLayout:
     """Where the rows and columns of an unmasked box operator's G sit.
@@ -139,6 +158,11 @@ class BoxLayout:
     box padded by l - 1 layers (even l) or the stacked per-axis edges of
     that box (odd l); G keeps the rows `kept` of that full layout. The
     spacing h and the order l are what a parity block is composed from.
+
+    Axes with equal point counts and bitwise-equal spacing are
+    interchangeable: permuting them maps G to itself, up to one permutation
+    of its columns and one of its rows, so blocks whose parity patterns are
+    such permutations of each other are isospectral (``copies``).
     """
 
     interior: tuple
@@ -162,6 +186,60 @@ class BoxLayout:
         g, kept = _compose(diffs, _folded(self.interior, parity), pad, self.order)
         return ParityBlock(g, self, tuple(parity), kept)
 
+    def copies(self) -> dict:
+        """Each parity pattern that is an axis permutation of an earlier one,
+        mapped to (representative, axes): the earliest pattern of its class
+        and the axis order with pattern[e] == representative[axes[e]].
+
+        The block of the pattern is the block of the representative with
+        its columns and rows permuted by ``permute_columns`` and
+        ``permute_rows``, so the two share their eigenvalues.
+        """
+        n = len(self.interior)
+        swaps = [axes for axes in itertools.permutations(range(n))
+                 if all(self.interior[a] == self.interior[e] and self.h[a] == self.h[e]
+                        for e, a in enumerate(axes))]
+        copies = {}
+        for parity in self.parities():
+            if parity in copies:
+                continue
+            for axes in swaps:
+                image = tuple(parity[a] for a in axes)
+                if image != parity and image not in copies:
+                    copies[image] = (parity, axes)
+        return copies
+
+    def permute_columns(self, v: np.ndarray, axes) -> np.ndarray:
+        """Columns of v on the interior cells with axis e taken from axis
+        axes[e]."""
+        return _permute_axes(v, self.interior, axes)
+
+    def permute_rows(self, u: np.ndarray, axes) -> np.ndarray:
+        """Columns of u on G's rows with axis e taken from axis axes[e], as
+        ``permute_columns`` on its columns; for odd l the edges of axis e
+        also come from the edges of axis axes[e]."""
+        shapes = [sizes for sizes, _ in self._row_parts((False,) * len(axes))]
+        dims = [math.prod(sizes) for sizes in shapes]
+        full = np.zeros((sum(dims), u.shape[1]))
+        full[self.kept] = u
+        pieces = np.split(full, np.cumsum(dims)[:-1])
+        source = axes if self.order % 2 else (0,)
+        return np.concatenate([_permute_axes(pieces[d], shapes[d], axes)
+                               for d in source])[self.kept]
+
+    def _row_parts(self, parity) -> list:
+        """(sizes, parity) of each part of G's full row layout, for the rows
+        of one parity pattern: the padded box for even l; for odd l the edges
+        of each axis d in turn, where D maps the cells of axis d to its
+        edges: one more point on that axis, and the opposite parity there.
+        """
+        padded = [m + 2 * (self.order - 1) for m in self.interior]
+        if self.order % 2 == 0:
+            return [(padded, list(parity))]
+        return [([m + (e == d) for e, m in enumerate(padded)],
+                 [odd != (e == d) for e, odd in enumerate(parity)])
+                for d in range(len(padded))]
+
 
 @dataclass(frozen=True, eq=False)
 class ParityBlock:
@@ -179,21 +257,13 @@ class ParityBlock:
         return _unfold(v, self.layout.interior, self.parity)
 
     def rows(self, u: np.ndarray) -> np.ndarray:
-        layout = self.layout
-        padded = [m + 2 * (layout.order - 1) for m in layout.interior]
-        parts = [(padded, self.parity)]
-        if layout.order % 2:
-            # D maps the cells of axis d to its edges: one more point on that
-            # axis, and the opposite parity there
-            parts = [([m + (e == d) for e, m in enumerate(padded)],
-                      [odd != (e == d) for e, odd in enumerate(self.parity)])
-                     for d in range(len(padded))]
+        parts = self.layout._row_parts(self.parity)
         dims = [math.prod(_folded(*part)) for part in parts]
         folded = np.zeros((sum(dims), u.shape[1]))
         folded[self.kept] = u
         pieces = np.split(folded, np.cumsum(dims)[:-1])
         return np.concatenate([_unfold(y, *part)
-                               for y, part in zip(pieces, parts)])[layout.kept]
+                               for y, part in zip(pieces, parts)])[self.layout.kept]
 
 
 @dataclass

@@ -1,6 +1,7 @@
 """References that tests compare polyspec against: operators, reflection-
-parity bases, a refinement study, the fuzz suites drawn and evaluated one
-trial at a time, and the spectra's orthonormality."""
+parity bases, axis permutations of box vectors, a refinement study, the
+fuzz suites drawn and evaluated one trial at a time, and the spectra's
+orthonormality."""
 
 import numpy as np
 import scipy.sparse as sp
@@ -70,6 +71,37 @@ def parity_bases(layout: BoxLayout, parity) -> tuple:
                          [odd != (e == d) for e, odd in enumerate(parity)])
             for d in range(len(padded))], format="csr")
     return columns, sp.csr_matrix(rows[layout.kept])
+
+
+def axis_permutation(layout: BoxLayout, axes) -> tuple:
+    """(cols, rows): index arrays with v[cols] the interior vector v and
+    u[rows] the vector u on G's kept rows with axis e taken from axis
+    axes[e], found by relabelling every cell's multi-index.
+
+    For odd l the rows of part e, the edges of axis e, come from part
+    axes[e], the edges of that axis.
+    """
+    def relabel(target, source):
+        # cell j of the target box comes from the source cell i, i[axes[e]] = j[e]
+        j = np.indices(target).reshape(len(target), -1)
+        i = np.empty_like(j)
+        i[list(axes)] = j
+        return np.ravel_multi_index(tuple(i), source)
+
+    cols = relabel(layout.interior, layout.interior)
+    padded = [m + 2 * (layout.order - 1) for m in layout.interior]
+    if layout.order % 2 == 0:
+        full = relabel(padded, padded)
+    else:
+        parts = [[m + (e == d) for e, m in enumerate(padded)] for d in range(len(padded))]
+        offsets = np.cumsum([0] + [int(np.prod(p)) for p in parts])
+        full = np.concatenate([offsets[axes[e]] + relabel(parts[e], parts[axes[e]])
+                               for e in range(len(parts))])
+    position = np.full(full.size, -1)
+    position[layout.kept] = np.arange(layout.kept.size)
+    rows = position[full[layout.kept]]
+    assert np.all(rows >= 0), "the kept rows are not closed under the permutation"
+    return cols, rows
 
 
 def orthonormality_defect(spectrum: Spectrum) -> float:
