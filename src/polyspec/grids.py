@@ -4,6 +4,11 @@ A domain is a box (or a bitmap-masked rectangle) discretized on a uniform
 grid. Only interior points carry unknowns; every value outside the interior
 is identified with zero, which is how the clamped boundary conditions enter
 the discrete operators.
+
+Every Euclidean dot product and norm of a grid-sized vector that
+``verify`` forms (mesh inner products here, the identity checks, the
+commutator residual) goes through ``euclidean_dot``, which stays off
+BLAS; see its docstring for why.
 """
 
 from __future__ import annotations
@@ -28,6 +33,23 @@ def integer_field(data: dict, key: str, default=None, error=GridError) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise error(f"{key!r} must be an integer, got {value!r}")
     return value
+
+
+def euclidean_dot(a: np.ndarray, b: np.ndarray) -> float:
+    """sum_i a_i b_i of two vectors of equal length, summed without BLAS.
+
+    numpy and scipy each load their own OpenBLAS, each with a thread pool
+    as wide as the machine. numpy's ddot (np.dot, np.linalg.norm, @ on
+    vectors) is threaded on long vectors, and verify calls it between
+    scipy's SuperLU and ARPACK calls, so each pool's waiting workers hold
+    the cores that the other pool needs: on 2 cores that cost a verify-fine
+    pass about 30%. einsum without optimize sums in its own loop, in the
+    calling thread. Its summation order depends only on the length, so the
+    same values give the same bits whether they come as a view or a copy.
+    """
+    a = np.ascontiguousarray(a, dtype=float)
+    b = np.ascontiguousarray(b, dtype=float)
+    return float(np.einsum("i,i->", a, b, optimize=False))
 
 
 @dataclass(frozen=True)
@@ -221,10 +243,10 @@ class GridFunction:
 
     def inner(self, other: "GridFunction") -> float:
         """Mesh inner product: cell volume times the Euclidean dot product."""
-        return self.spec.cell_volume * float(np.dot(self.values, other.values))
+        return self.spec.cell_volume * euclidean_dot(self.values, other.values)
 
     def norm(self) -> float:
-        return float(np.sqrt(self.inner(self)))
+        return math.sqrt(self.inner(self))
 
     def normalized(self) -> "GridFunction":
         nrm = self.norm()

@@ -5,6 +5,11 @@ inequality verdicts meaningless. The commutator check is exact algebra
 (machine precision), the trace identity and gradient sum carry known
 O(h^2) / O(h) discretization corrections and are therefore checked
 against tolerances and refinement orders rather than exactly.
+
+Every inner product and norm of a grid vector here is one
+``grids.euclidean_dot`` sum (mesh inner products go through
+``GridFunction.inner``), never numpy's BLAS: the checks run between scipy's
+LU and ARPACK calls, whose threads a BLAS call would compete with.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from typing import List
 import numpy as np
 
 from .eigensolve import Spectrum
-from .grids import DomainSpec, GridFunction
+from .grids import DomainSpec, GridFunction, euclidean_dot
 from .operators import (
     central_difference,
     commutator_residual,
@@ -102,7 +107,7 @@ def interpolation_check(spectrum: Spectrum, spec: DomainSpec,
         w = v
         for j in range(1, spec.l):
             w = lap @ w
-            r = spec.cell_volume * float(np.dot(w, v))
+            r = spec.cell_volume * euclidean_dot(w, v)
             bound = lam ** (j / spec.l)
             rows.append(IdentityRow(
                 name=f"interpolation(i={i + 1},j={j})",
@@ -173,7 +178,7 @@ def gradient_sum_check(spectrum: Spectrum, spec: DomainSpec,
             d = central_difference(p, u)
             grad += d.inner(d)
         bu = b @ u.values
-        form = spec.cell_volume * float(np.dot(bu, bu))
+        form = spec.cell_volume * euclidean_dot(bu, bu)
         bound = spectrum.eigenvalues[i] ** (1.0 / spec.l)
         rel = abs(grad - form) / form
         rows.append(IdentityRow(

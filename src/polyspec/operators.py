@@ -66,7 +66,7 @@ from typing import Optional
 import numpy as np
 import scipy.sparse as sp
 
-from .grids import DomainSpec, GridFunction, GridError
+from .grids import DomainSpec, GridFunction, GridError, euclidean_dot
 
 
 class SupportMarginError(ValueError):
@@ -480,4 +480,4 @@ def commutator_residual(spec: DomainSpec, u: GridFunction, p: int) -> float:
     coords = spec.coordinate(p)
     r = apply_times(xu, l) - coords * apply_times(u.values, l) \
         + 2.0 * l * apply_times(du, l - 1)
-    return float(np.linalg.norm(r) / np.linalg.norm(u.values))
+    return math.sqrt(euclidean_dot(r, r)) / math.sqrt(euclidean_dot(u.values, u.values))

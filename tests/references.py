@@ -1,11 +1,14 @@
 """References that tests compare polyspec against: operators, reflection-
 parity bases, axis permutations of box vectors, a refinement study, the
-fuzz suites drawn and evaluated one trial at a time, and the spectra's
-orthonormality."""
+fuzz suites drawn and evaluated one trial at a time, the spectra's
+orthonormality, and grid reductions through numpy's BLAS dot."""
+
+import contextlib
 
 import numpy as np
 import scipy.sparse as sp
 
+from polyspec import grids, identities, operators
 from polyspec.algebra import ExponentPair, MonotoneTriple
 from polyspec.eigensolve import Spectrum, smallest_eigenpairs
 from polyspec.grids import DomainSpec
@@ -112,6 +115,25 @@ def orthonormality_defect(spectrum: Spectrum) -> float:
     weight = spectrum.spec.cell_volume if spectrum.spec is not None else 1.0
     gram = weight * (spectrum.vectors.T @ spectrum.vectors)
     return float(np.max(np.abs(gram - np.eye(spectrum.k))))
+
+
+@contextlib.contextmanager
+def blas_reductions():
+    """Within the block, every grid reduction of polyspec is np.dot.
+
+    Replaces grids.euclidean_dot, in each module that calls it, with
+    numpy's BLAS dot, the reduction those call sites used before it. A norm
+    is still the square root of one such sum, as np.linalg.norm forms it.
+    """
+    modules = (grids, identities, operators)
+    saved = [module.euclidean_dot for module in modules]
+    for module in modules:
+        module.euclidean_dot = lambda a, b: float(np.dot(a, b))
+    try:
+        yield
+    finally:
+        for module, helper in zip(modules, saved):
+            module.euclidean_dot = helper
 
 
 def trace_identity_orders(spec: DomainSpec, k: int, levels: int = 3,

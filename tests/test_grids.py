@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from polyspec.grids import DomainSpec, GridError, GridFunction
+from polyspec.grids import DomainSpec, GridError, GridFunction, euclidean_dot
 
 
 def square(points=12, l=1):
@@ -138,3 +138,23 @@ class TestGridFunction:
         spec = square()
         with pytest.raises(GridError):
             GridFunction.zeros(spec).normalized()
+
+
+class TestEuclideanDot:
+    @pytest.mark.parametrize("length", [999, 14400, 40401])
+    def test_agrees_with_numpy_dot(self, length):
+        rng = np.random.default_rng(length)
+        a, b = rng.standard_normal(length), rng.standard_normal(length)
+        assert euclidean_dot(a, b) == pytest.approx(float(np.dot(a, b)), rel=1e-14)
+        assert euclidean_dot(a, a) == pytest.approx(float(np.dot(a, a)), rel=1e-14)
+
+    @pytest.mark.parametrize("length", [999, 14400, 40401])
+    def test_bitwise_equal_on_offset_view_and_copy(self, length):
+        # the summation order depends only on the length, not on where the data sits
+        buf = np.random.default_rng(length).standard_normal(length + 1)
+        view = buf[1:]
+        copy = view.copy()
+        assert euclidean_dot(view, view) == euclidean_dot(copy, copy)
+        assert euclidean_dot(view, buf[:-1]) == euclidean_dot(copy, buf[:-1].copy())
+        strided = np.repeat(copy, 2)[::2]
+        assert euclidean_dot(strided, strided) == euclidean_dot(copy, copy)

@@ -9,12 +9,7 @@ from scipy.sparse.linalg import norm as sparse_norm
 from polyspec import eigensolve
 from polyspec.eigensolve import smallest_eigenpairs
 from polyspec.grids import DomainSpec
-from polyspec.operators import (
-    BoxLayout,
-    DiscreteOperator,
-    build_laplacian,
-    build_polyharmonic,
-)
+from polyspec.operators import DiscreteOperator, build_laplacian, build_polyharmonic
 from references import (axis_permutation, operator_power, orthonormality_defect,
                         parity_bases)
 
@@ -54,20 +49,6 @@ def box_spec(shape, points, l, mask=None, extents=None):
 def one_block(op):
     """The same factor without the layout: the solver cannot split it."""
     return DiscreteOperator(factor=op.factor, spec=op.spec, order=op.order)
-
-
-@pytest.fixture
-def block_count(monkeypatch):
-    """Counts BoxLayout.block calls, i.e. parity blocks the solver built."""
-    calls = []
-    original = BoxLayout.block
-
-    def counting(self, parity):
-        calls.append(parity)
-        return original(self, parity)
-
-    monkeypatch.setattr(BoxLayout, "block", counting)
-    return calls
 
 
 @pytest.fixture
