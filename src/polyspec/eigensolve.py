@@ -1,11 +1,27 @@
 """Smallest eigenpairs of factored operators A = G^T G, with certified radii.
 
-One path for every shape and order: seeded ARPACK Lanczos (``eigsh``) on
-the operator x -> A^(-1) x, applied through one sparse LU per block.
+Two paths, picked from the operator alone; both end in the same
+certificate on the whole G.
 
-Blocks. An unmasked box from ``build_polyharmonic`` or ``build_laplacian``
-carries a ``BoxLayout``, whose reflection-parity blocks G_b, each composed
-as G is from folded 1-D differences, split G exactly (see ``operators``).
+Closed form. An operator of order 1 carrying a ``BoxLayout`` (an unmasked
+interval, rectangle or box from ``build_laplacian``) is exactly the
+Kronecker sum of one (-1, 2, -1)/h^2 matrix per axis, whose eigenpairs are
+known sines (Demmel, Applied Numerical Linear Algebra, SIAM 1997, sec.
+6.3). Each axis gives its min(k, m) smallest eigenvalues from
+``oracles.discrete_interval_eigenvalues`` (a sum whose index on some axis
+exceeds k has k sums at or below it, with smaller flat indices), the k
+smallest of the sums are kept, and v is the product of the 1-D sine
+vectors, u = G v. Every eigenvalue of the sum is enumerated, so no pair
+below lambda_k can be missed, and no LU, Lanczos run or seed is involved.
+
+Lanczos. Every other operator (masked domains, orders l >= 2, factors
+built by hand) takes seeded ARPACK Lanczos (``eigsh``) on the operator
+x -> A^(-1) x, applied through one sparse LU per block.
+
+Blocks. An unmasked box of order l >= 2 from ``build_polyharmonic``
+carries a ``BoxLayout``, whose reflection-parity blocks G_b, each
+composed as G is from folded 1-D differences, split G exactly (see
+``operators``).
 Blocks whose parity patterns are axis permutations of each other (over
 axes with equal point counts and spacing) are isospectral, so when
 splitting pays, the blocks are taken in parity order and each is either
@@ -26,10 +42,10 @@ So it is taken when n >= 2, every block has more than k unknowns and the
 smallest block's separator, l * b^((n-1)/n) cells for b unknowns, is at
 least MIN_BLOCK_SEPARATOR; on 2 cores that is where the split stopped
 losing when every block had a Lanczos run of its own (about 50^2 for
-l = 2 squares, 100^2-130^2 for l = 1 squares, 14^3 for l = 1 cubes).
-Every other operator is one block, G itself. Either way the certificate
-below is formed on the whole G for every pair, copies included, from each
-pair's own u, with the global sigma_1 in its gate.
+l = 2 squares). Every other operator is one block, G itself. On either
+path the certificate below is formed on the whole G for every pair,
+copies included, from each pair's own u, with the global sigma_1 in its
+gate.
 
 * Order l >= 2: the augmented matrix K = [[-I, G], [G^T, 0]] is factored
   and K (u, y) = (0, x) gives y = A^(-1) x and u = G y without ever
@@ -38,16 +54,17 @@ pair's own u, with the global sigma_1 in its gate.
   indefinite with a zero diagonal block, so it keeps SuperLU's default
   COLAMD column order with partial pivoting: elimination without pivoting
   could meet a zero pivot, and minimum degree on K + K^T fills far more.
-* Order 1: A itself is factored. Its condition number is only O(h^-2),
-  and augmenting would add fill without adding accuracy. A is symmetric
-  positive definite, so it is ordered by minimum degree on A + A^T and
-  eliminated without pivoting (diagonal pivots, symmetric mode): that is
-  Cholesky up to diagonal scaling, stable without row exchanges, and its
-  LU has about half the fill of the COLAMD order.
+* Order 1 (masked or built by hand): A itself is factored. Its condition
+  number is only O(h^-2), and augmenting would add fill without adding
+  accuracy. A is symmetric positive definite, so it is ordered by minimum
+  degree on A + A^T and eliminated without pivoting (diagonal pivots,
+  symmetric mode): that is Cholesky up to diagonal scaling, stable
+  without row exchanges, and its LU has about half the fill of the COLAMD
+  order.
 
 Each pair is certified from the factored residuals. With v normalized, u
-taken from one more solve K (u, .) = (0, v) and normalized, and
-sigma = sqrt(lam), the residual
+taken from one more solve K (u, .) = (0, v), or as G v on the closed-form
+path, and normalized, and sigma = sqrt(lam), the residual
 
     eta = ||(G v - sigma u, G^T u - sigma v)|| / sqrt(2) + (c + 2) eps ||G||
 
@@ -74,11 +91,13 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .grids import DomainSpec, GridFunction
-from .operators import DiscreteOperator
+from .operators import BoxLayout, DiscreteOperator
+from .oracles import discrete_interval_eigenvalues
 
 EPS = np.finfo(float).eps
 FLOOR_FACTOR = 64.0     # multiplies eps * ||G|| / sigma_1 in the acceptance gate
-# fewest separator cells of the smallest parity block for the split to pay:
+# fewest separator cells of the smallest parity block for the split to pay
+# (only boxes of order l >= 2 reach the split; order 1 takes the closed form):
 # below it the fixed cost of one Lanczos run per axis-permutation class
 # outweighs the saving on the LUs, whose cost the separators set. The value
 # was measured when every block had a Lanczos run of its own; with one run
@@ -230,24 +249,34 @@ def _certify(g: sp.csr_matrix, lam: np.ndarray, v: np.ndarray, u: np.ndarray,
     return radii
 
 
-def smallest_eigenpairs(op: DiscreteOperator, k: int, tol: float = 1e-8,
-                        seed: int = 0, compute_vectors: bool = True) -> Spectrum:
-    """k smallest eigenpairs of A = G^T G, each with a certified radius.
+def _tensor_pairs(layout: BoxLayout, k: int) -> tuple:
+    """(lam, v): the k smallest pairs of an order-1 box's G^T G, the
+    Kronecker sum of one (-1, 2, -1)/h^2 matrix per axis, in closed form.
 
-    Deterministic for a fixed seed: ARPACK gets a seeded starting vector
-    (each parity block that is solved, not copied, draws its own from the
-    same seed when the operator splits).
-    Lanczos cannot return every pair, so k must stay below the operator
-    dimension. Spectrum.residuals holds each pair's relative radius and
-    solver_tol the larger of tol and the largest radius.
+    Axis p contributes its min(k, m_p) smallest 1-D pairs, sqrt(2/(m+1))
+    sin(i j pi/(m+1)) over its points i; the k smallest of the sums are
+    kept by a stable sort, ties by flat index, with the products of their
+    1-D vectors as columns of v.
     """
-    if k < 1:
-        raise ValueError("k must be a positive integer")
-    dim = op.dimension
-    if k >= dim:
-        raise PairCountError(f"k={k} eigenpairs need an operator dimension "
-                             f"above {k}, got {dim}")
+    counts = [min(k, m) for m in layout.interior]
+    lam = np.zeros(1)
+    for m, h, count in zip(layout.interior, layout.h, counts):
+        lam = np.add.outer(lam, discrete_interval_eigenvalues(m, h, count)).ravel()
+    best = np.argsort(lam, kind="stable")[:k]
+    v = np.ones((1, k))
+    for m, j in zip(layout.interior, np.unravel_index(best, counts)):
+        # i j reduced mod 2(m+1) keeps the sine's argument within [0, 2 pi)
+        phase = np.outer(np.arange(1, m + 1), j + 1) % (2 * (m + 1))
+        sines = np.sqrt(2.0 / (m + 1)) * np.sin(phase * (np.pi / (m + 1)))
+        v = (v[:, None, :] * sines[None, :, :]).reshape(-1, k)
+    return lam[best], v / np.linalg.norm(v, axis=0)
 
+
+def _split_pairs(op: DiscreteOperator, k: int, seed: int) -> tuple:
+    """(lam, v, u): the k smallest pairs of G^T G by Lanczos, one block or
+    one parity block per axis-permutation class (see the module), with v
+    on the interior cells and u = G A^(-1) v on G's rows.
+    """
     layout = op.layout
     parities, copies = _blocks(op, k)
     representatives = {rep for rep, _ in copies.values()}
@@ -291,6 +320,33 @@ def smallest_eigenpairs(op: DiscreteOperator, k: int, tol: float = 1e-8,
             lam = np.concatenate([lam, lam_b])[take]
             v = np.hstack([v, v_b])[:, take]
             u = np.hstack([u, u_b])[:, take]
+    return lam, v, u
+
+
+def smallest_eigenpairs(op: DiscreteOperator, k: int, tol: float = 1e-8,
+                        seed: int = 0, compute_vectors: bool = True) -> Spectrum:
+    """k smallest eigenpairs of A = G^T G, each with a certified radius.
+
+    Deterministic for a fixed seed: ARPACK gets a seeded starting vector
+    (each parity block that is solved, not copied, draws its own from the
+    same seed when the operator splits). An order-1 box takes its pairs in
+    closed form and does not read the seed.
+    Lanczos cannot return every pair, so k must stay below the operator
+    dimension. Spectrum.residuals holds each pair's relative radius and
+    solver_tol the larger of tol and the largest radius.
+    """
+    if k < 1:
+        raise ValueError("k must be a positive integer")
+    dim = op.dimension
+    if k >= dim:
+        raise PairCountError(f"k={k} eigenpairs need an operator dimension "
+                             f"above {k}, got {dim}")
+
+    if op.order == 1 and op.layout is not None:
+        lam, v = _tensor_pairs(op.layout, k)
+        u = op.factor @ v
+    else:
+        lam, v, u = _split_pairs(op, k, seed)
 
     radii = _certify(op.factor, lam, v, u, tol)
 

@@ -93,21 +93,27 @@ def interpolation_check(spectrum: Spectrum, spec: DomainSpec,
 
     For each retained eigenpair and j = 1..l-1 checks
     <L^j u_i, u_i> <= lambda_i^(j/l) (1 + tol). Vacuous for l = 1.
+
+    The form is a sum of squares, ||L^(j/2) u||^2 for even j and
+    ||B L^((j-1)/2) u||^2 for odd j with L = B^T B: a dot product of L^j u
+    with u would let L magnify the last-bit rounding of u by its norm.
     """
     if spec.l == 1:
         return []
     if spectrum.vectors is None:
         raise ValueError("interpolation check needs retained eigenvectors")
+    b = interior_factor(spec)
     lap = interior_laplacian(spec)
     rows = []
     for i in range(spectrum.k):
-        u = spectrum.eigenvector(i).normalized()
-        v = u.values
+        power = spectrum.eigenvector(i).normalized().values  # L^((j-1)//2) u
         lam = spectrum.eigenvalues[i]
-        w = v
         for j in range(1, spec.l):
-            w = lap @ w
-            r = spec.cell_volume * euclidean_dot(w, v)
+            if j % 2:
+                w = b @ power
+            else:
+                power = w = lap @ power
+            r = spec.cell_volume * euclidean_dot(w, w)
             bound = lam ** (j / spec.l)
             rows.append(IdentityRow(
                 name=f"interpolation(i={i + 1},j={j})",

@@ -1,6 +1,7 @@
 """Fixtures shared by the test modules."""
 
 import pytest
+import scipy.sparse.linalg as spla
 
 from polyspec.operators import BoxLayout
 
@@ -16,4 +17,18 @@ def block_count(monkeypatch):
         return original(self, parity)
 
     monkeypatch.setattr(BoxLayout, "block", counting)
+    return calls
+
+
+@pytest.fixture
+def lu_count(monkeypatch):
+    """Counts sparse LU factorizations, one per block the solver solved."""
+    calls = []
+    original = spla.splu
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].shape)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", counting)
     return calls

@@ -1,12 +1,14 @@
-"""References that tests compare polyspec against: operators, reflection-
-parity bases, axis permutations of box vectors, a refinement study, the
-fuzz suites drawn and evaluated one trial at a time, the spectra's
-orthonormality, and grid reductions through numpy's BLAS dot."""
+"""References that tests compare polyspec against: operators, spectra of
+assembled matrices, reflection-parity bases, axis permutations of box
+vectors, a refinement study, the fuzz suites drawn and evaluated one trial
+at a time, the spectra's orthonormality, and grid reductions through
+numpy's BLAS dot."""
 
 import contextlib
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from polyspec import grids, identities, operators
 from polyspec.algebra import ExponentPair, MonotoneTriple
@@ -31,6 +33,20 @@ def operator_power(op: DiscreteOperator, l: int) -> DiscreteOperator:
     for _ in range(l // 2):
         g = g @ lap
     return DiscreteOperator(factor=g, spec=op.spec, order=l)
+
+
+def assembled_eigenvalues(op: DiscreteOperator, count: int) -> np.ndarray:
+    """The `count` smallest eigenvalues of the assembled G^T G, ascending.
+
+    scipy's own shift-invert Lanczos (ARPACK about sigma = 0, through
+    SuperLU of the matrix itself), apart from polyspec's solver and from
+    the 1-D closed form it takes on order-1 boxes. A dense solve costs
+    seconds from a few thousand unknowns on.
+    """
+    start = np.random.default_rng(0).standard_normal(op.dimension)
+    mu = spla.eigsh(sp.csc_matrix(op.matrix()), k=count, sigma=0.0, v0=start,
+                    return_eigenvectors=False)
+    return np.sort(mu)
 
 
 def parity_basis(sizes, parity) -> sp.csr_matrix:

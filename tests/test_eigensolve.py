@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
+from polyspec import eigensolve
 from polyspec.eigensolve import SolverError, smallest_eigenpairs
 from polyspec.grids import DomainSpec
 from polyspec.operators import (
@@ -19,7 +21,7 @@ from polyspec.oracles import (
     clamped_rod_eigenvalues,
     discrete_interval_eigenvalues,
 )
-from references import operator_power, orthonormality_defect
+from references import assembled_eigenvalues, operator_power, orthonormality_defect
 
 
 def interval(points, l=1):
@@ -27,25 +29,62 @@ def interval(points, l=1):
 
 
 class TestSmallestEigenpairs:
+    # the solver takes these spectra from the 1-D closed form, so the
+    # reference is another solver on the assembled matrix
     @pytest.mark.parametrize("m", [999, 4500])
     def test_1d_closed_form(self, m):
-        spec = interval(m)
-        s = smallest_eigenpairs(build_laplacian(spec), 3, seed=0)
-        expected = discrete_interval_eigenvalues(m, spec.h[0], 3)
-        assert s.eigenvalues == pytest.approx(expected, rel=1e-8)
+        op = build_laplacian(interval(m))
+        s = smallest_eigenpairs(op, 3, seed=0)
+        assert s.eigenvalues == pytest.approx(assembled_eigenvalues(op, 3), rel=1e-8)
 
-    @pytest.mark.parametrize("points", [[80, 80], [12, 12, 12]],
-                             ids=["square-80-double", "cube-12-triple"])
-    def test_order_one_tensor_sum_spectrum(self, points):
-        # the exact discrete spectrum is the tensor sum of the 1-D ones; k = 6
-        # spans the square's double and the cube's triple eigenvalue
+    @pytest.mark.parametrize("points,extents,k", [
+        ([80, 80], None, 6),                # spans the double eigenvalue
+        ([12, 12, 12], None, 6),            # splits the second triple
+        ([10, 11, 12], [1.0, 2.0, 3.0], 10),
+        ([40, 5], None, 12),                # the 5-point axis runs out of pairs
+        ([80, 80], None, 5),                # the 5th pair is one of a double
+    ], ids=["square-80-double", "cube-12-triple", "box-extents-1x2x3",
+            "rect-40x5-k12", "square-80-tie"])
+    def test_order_one_tensor_sum_spectrum(self, points, extents, k):
         shape = "rectangle" if len(points) == 2 else "box"
+        spec = DomainSpec.with_points(shape, extents or [1.0] * len(points), points)
+        op = build_laplacian(spec)
+        s = smallest_eigenpairs(op, k, seed=0)
+        assert s.eigenvalues == pytest.approx(assembled_eigenvalues(op, k), rel=1e-12)
+        assert s.residuals.max() <= 1e-8        # within the requested tolerance
+        assert orthonormality_defect(s) < 1e-14
+
+    def test_perturbed_sine_eigenvalues_fail_the_certificate(self, monkeypatch):
+        # the closed form is certified like a Lanczos pair: eigenvalues 1e-6
+        # off in relative terms give radii far above the tolerance
+        def perturbed(m, h, count=None):
+            return discrete_interval_eigenvalues(m, h, count) * (1.0 + 1e-6)
+
+        monkeypatch.setattr(eigensolve, "discrete_interval_eigenvalues", perturbed)
+        for points in ([300], [20, 20], [9, 10, 11]):
+            shape = ["interval", "rectangle", "box"][len(points) - 1]
+            spec = DomainSpec.with_points(shape, [1.0] * len(points), points)
+            with pytest.raises(SolverError):
+                smallest_eigenpairs(build_laplacian(spec), 4)
+
+    @pytest.mark.parametrize("points", [[999], [201, 201], [20, 20, 20]],
+                             ids=["interval-999", "square-201", "box-20"])
+    def test_order_one_box_takes_no_block_lu_or_lanczos(self, points, monkeypatch,
+                                                        block_count, lu_count):
+        calls = []
+        monkeypatch.setattr(spla, "eigsh", lambda *a, **kw: calls.append(a))
+        shape = ["interval", "rectangle", "box"][len(points) - 1]
         spec = DomainSpec.with_points(shape, [1.0] * len(points), points)
-        exact = np.zeros(1)
-        for m, h in zip(points, spec.h):
-            exact = np.add.outer(exact, discrete_interval_eigenvalues(m, h)).ravel()
         s = smallest_eigenpairs(build_laplacian(spec), 6, seed=0)
-        assert s.eigenvalues == pytest.approx(np.sort(exact)[:6], rel=1e-12)
+        assert (block_count, lu_count, calls) == ([], [], [])
+        assert s.residuals.max() <= 1e-8
+
+    def test_large_cube_certified(self):
+        # 216,000 unknowns, beyond what one LU and Lanczos run take in a second
+        spec = DomainSpec.with_points("box", [1.0] * 3, [60] * 3)
+        s = smallest_eigenpairs(build_laplacian(spec), 6)
+        assert s.residuals.max() <= 1e-11
+        assert s.eigenvalues[0] == pytest.approx(3 * np.pi ** 2, rel=1e-3)
 
     def test_order_one_masked_dense_oracle(self):
         rows = ["1" * 24] * 12 + ["1" * 12 + "0" * 12] * 12
@@ -161,8 +200,8 @@ class TestSmallestEigenpairs:
             smallest_eigenpairs(DiscreteOperator(factor=g), 1)
 
     def test_sparse_path_deterministic(self):
-        spec = interval(4200)
-        op = build_laplacian(spec)
+        spec = interval(4200, l=2)
+        op = build_polyharmonic(spec)
         a = smallest_eigenpairs(op, 3, seed=7)
         b = smallest_eigenpairs(op, 3, seed=7)
         assert np.array_equal(a.eigenvalues, b.eigenvalues)

@@ -1,8 +1,11 @@
 """Eigenfunction-level identity checks and their refinement behavior."""
 
+import math
+
 import numpy as np
 import pytest
 
+from polyspec import grids
 from polyspec.eigensolve import Spectrum, smallest_eigenpairs
 from polyspec.grids import DomainSpec, GridFunction
 from polyspec.identities import (
@@ -116,6 +119,18 @@ class TestInterpolation:
         for row in rows:
             assert row.passed
             assert row.observed < row.reference  # strict for the clamped model
+
+    def test_rows_stable_under_the_rounding_of_u(self, monkeypatch):
+        # normalizing u with an exactly rounded sum changes only u's last
+        # bits; L would magnify them in <L u, u> by ||L|| / lambda^(1/2),
+        # which moved the first row by 9e-14 here as a dot product
+        spec = interval(16000, l=2)
+        spectrum = smallest_eigenpairs(build_polyharmonic(spec), 2, seed=0)
+        rows = interpolation_check(spectrum, spec)
+        monkeypatch.setattr(grids, "euclidean_dot", lambda a, b: math.fsum(a * b))
+        again = interpolation_check(spectrum, spec)
+        for row, other in zip(rows, again):
+            assert other.observed == pytest.approx(row.observed, rel=1e-14, abs=0)
 
     def test_third_order_rows(self):
         spec = interval(60, l=3)

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 from scipy.sparse.linalg import norm as sparse_norm
 
 from polyspec import eigensolve
@@ -17,7 +16,9 @@ from references import (axis_permutation, operator_power, orthonormality_defect,
 # order * unknowns^((n-1)/n) is at least MIN_BLOCK_SEPARATOR = 48. Each case
 # is (shape, points, l, extents, classes): extents default to 1 per axis, and
 # classes counts the axis-permutation classes of its parity patterns, one
-# block build and one LU each.
+# block build and one LU each in a solve of l >= 2. The l = 1 cases build no
+# block: their solve takes the closed form, compared here with one block, and
+# the 10 x 11 x 12 l = 2 box solves the eight classes the 14 x 15 x 16 one did.
 SPLIT_CASES = [
     ("rectangle", (96, 96), 1, None, 3),        # 48 x 48 blocks, double eigenvalues
     ("rectangle", (48, 48), 2, None, 3),
@@ -29,10 +30,11 @@ SPLIT_CASES = [
     ("box", (10, 11, 11), 2, None, 6),          # 5 x 5 x 5 blocks
     ("box", (9, 9, 9), 3, None, 4),             # 4 x 4 x 4 blocks, exactly at the threshold
     ("rectangle", (48, 48), 2, (1.0, 2.0), 4),  # equal points, unequal spacing: no copies
+    ("box", (10, 11, 12), 2, None, 8),          # unequal sizes: every block solved, no copies
 ]
 SPLIT_IDS = ["square-96-l1", "plate-48-l2", "rect-49x51-l2", "rect-47x49-l3",
              "box-14x15x16-l1", "rect-25x26-l4", "square-21-l5", "box-10x11x11-l2",
-             "cube-9-l3", "rect-48x48-h1x2-l2"]
+             "cube-9-l3", "rect-48x48-h1x2-l2", "box-10x11x12-l2"]
 # cases whose classes hold copies, for the exact equivariance of copied pairs
 EQUIVARIANT = [SPLIT_CASES[i] for i in (1, 6, 8)]
 EQUIVARIANT_IDS = [SPLIT_IDS[i] for i in (1, 6, 8)]
@@ -49,20 +51,6 @@ def box_spec(shape, points, l, mask=None, extents=None):
 def one_block(op):
     """The same factor without the layout: the solver cannot split it."""
     return DiscreteOperator(factor=op.factor, spec=op.spec, order=op.order)
-
-
-@pytest.fixture
-def lu_count(monkeypatch):
-    """Counts sparse LU factorizations, one per block the solver solved."""
-    calls = []
-    original = spla.splu
-
-    def counting(*args, **kwargs):
-        calls.append(args[0].shape)
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(spla, "splu", counting)
-    return calls
 
 
 def basis_defect(q):
@@ -171,12 +159,14 @@ class TestSplitSolve:
         # and 2e-8 split, above the default 1e-8 and its floor gate
         tol = 1e-6 if l == 5 else 1e-8
         split = smallest_eigenpairs(op, 6, tol=tol, seed=2)
-        # one block build and one LU per axis-permutation class
-        assert len(block_count) == classes
-        assert len(lu_count) == classes
+        # one block build and one LU per axis-permutation class; an l = 1 box
+        # takes its pairs from the 1-D sines instead, with no block and no LU
+        solved = 0 if l == 1 else classes
+        assert len(block_count) == solved
+        assert len(lu_count) == solved
         whole = smallest_eigenpairs(one_block(op), 6, tol=tol, seed=2)
-        assert len(block_count) == classes
-        assert len(lu_count) == classes + 1
+        assert len(block_count) == solved
+        assert len(lu_count) == solved + 1
         allowed = split.eigenvalues * split.residuals + whole.eigenvalues * whole.residuals
         assert np.all(np.abs(split.eigenvalues - whole.eigenvalues) <= allowed)
         assert np.all(split.residuals <= split.solver_tol)
@@ -185,8 +175,8 @@ class TestSplitSolve:
             assert 0 not in parities_of(split.vectors[:, i], points), i
 
     @pytest.mark.parametrize("shape,points,l,extents,classes",
-                             [SPLIT_CASES[1], SPLIT_CASES[4]],
-                             ids=[SPLIT_IDS[1], SPLIT_IDS[4]])
+                             [SPLIT_CASES[1], SPLIT_CASES[8]],
+                             ids=[SPLIT_IDS[1], SPLIT_IDS[8]])
     def test_blocks_that_add_no_pair(self, shape, points, l, extents, classes, block_count):
         # k = 1: every block after the first only loses the merge
         op = build_polyharmonic(box_spec(shape, points, l, extents=extents))
@@ -251,8 +241,8 @@ class TestSplitSolve:
         ("masked-rectangle", (48, 48), 2, "L"),
         ("interval", (600,), 2, None),
         ("rectangle", (46, 46), 2, None),        # 2 * sqrt(23 * 23) = 46 < 48
-        ("rectangle", (94, 96), 1, None),        # sqrt(47 * 48) < 48
-        ("box", (12, 13, 14), 1, None),          # (6 * 6 * 7)^(2/3) < 48
+        ("rectangle", (30, 32), 3, None),        # 3 * sqrt(15 * 16) < 48
+        ("box", (9, 10, 11), 2, None),           # 2 * (4 * 5 * 5)^(2/3) < 48
     ], ids=["masked", "1-d", "plate-below", "rect-below", "box-below"])
     def test_no_split_is_bit_identical(self, shape, points, l, mask, block_count):
         rows = None
@@ -269,20 +259,20 @@ class TestSplitSolve:
         assert a.solver_tol == b.solver_tol
 
     def test_hand_built_operator_with_spec_takes_one_block(self, block_count):
-        # operator_power attaches the Laplacian's spec to another factor;
-        # the solver must not read a layout into that spec
-        lap = build_laplacian(box_spec("rectangle", (96, 96), 1))
-        s = smallest_eigenpairs(operator_power(lap, 2), 3, seed=0)
+        # operator_power attaches the plate's spec to another factor; the
+        # solver must not read a layout into that spec
+        plate = build_polyharmonic(box_spec("rectangle", (48, 48), 2))
+        s = smallest_eigenpairs(operator_power(plate, 2), 3, seed=0)
         assert block_count == []
-        base = smallest_eigenpairs(lap, 3, seed=0)
+        base = smallest_eigenpairs(plate, 3, seed=0)
         assert len(block_count) == 3
         assert s.eigenvalues == pytest.approx(base.eigenvalues ** 2, rel=1e-9)
 
     def test_k_reaching_a_block_dimension_takes_one_block(self, monkeypatch,
                                                           block_count):
-        # a low threshold makes a 20 x 20 square split into 10 x 10 blocks
+        # a low threshold makes a 20 x 20 plate split into 10 x 10 blocks
         monkeypatch.setattr(eigensolve, "MIN_BLOCK_SEPARATOR", 1)
-        op = build_laplacian(box_spec("rectangle", (20, 20), 1))
+        op = build_polyharmonic(box_spec("rectangle", (20, 20), 2))
         split = smallest_eigenpairs(op, 99, seed=1)
         assert len(block_count) == 3
         block_count.clear()

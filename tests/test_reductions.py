@@ -64,9 +64,12 @@ def blas_calls(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("shape,points,l", [("box", (14, 14, 14), 1), ("interval", (999,), 2)],
-                         ids=["split-box-14-l1", "rod-999-l2"])
-def test_verify_makes_no_numpy_blas_call(blas_calls, block_count, shape, points, l):
+@pytest.mark.parametrize("shape,points,l,blocks", [
+    ("box", (9, 9, 9), 3, 4),            # the cube split into its 4 classes
+    ("box", (14, 14, 14), 1, 0),         # 1-D sine pairs, no block
+    ("interval", (999,), 2, 0),
+], ids=["split-cube-9-l3", "box-14-l1", "rod-999-l2"])
+def test_verify_makes_no_numpy_blas_call(blas_calls, block_count, shape, points, l, blocks):
     """No np.dot, np.vdot, np.inner or axis-free np.linalg.norm from polyspec.
 
     Only module functions can be patched: ndarray.dot and @ on two dense
@@ -77,8 +80,7 @@ def test_verify_makes_no_numpy_blas_call(blas_calls, block_count, shape, points,
     spec = DomainSpec.with_points(shape, [1.0] * len(points), points, l=l)
     report = run(RunConfig(domain=spec, k=5))
     assert report.passed
-    if shape == "box":
-        assert len(block_count) == 4        # the cube split into its 4 classes
+    assert len(block_count) == blocks
     assert blas_calls == []
 
 
